@@ -436,6 +436,7 @@ def _run_experiment_command(subcommand: str, cfg: dict, out: Path) -> int:
 
 
 def _cmd_sample(cfg: dict, out: Path) -> int:
+    t0 = time.perf_counter()
     grid = _build_grid(cfg)
     section = cfg.get("sample", {})
     measure = section.get("measure", "rho")
@@ -475,19 +476,20 @@ def _cmd_sample(cfg: dict, out: Path) -> int:
         "mean_log_weight": float(np.mean(ens.log_weights)),
         "file": path.name,
     }
-    report = _assemble_report("sample", cfg, stats, gates, inconclusive=False)
+    report = _assemble_report("sample", cfg, stats, gates, inconclusive=False, t0=t0)
     _write_report(report, out, "sample")
     _print_gates(report)
     return _exit_code(report)
 
 
 def _assemble_report(
-    name: str, cfg: dict, stats: dict, gates: list[Gate], inconclusive: bool
+    name: str, cfg: dict, stats: dict, gates: list[Gate], inconclusive: bool, t0: float
 ) -> ExperimentReport:
     """A report for non-harness subcommands, echoing the full resolved config.
 
     The worker count stays out of the echo for the same reason as in the
-    harness: reports must be byte-identical across thread counts.
+    harness: reports must be byte-identical across thread counts.  The
+    runtime since t0 goes only to the sidecar.
     """
     echo = _plain({k: v for k, v in cfg.items() if k != "threads"})
     return ExperimentReport(
@@ -498,11 +500,12 @@ def _assemble_report(
         gates=gates,
         inconclusive=inconclusive,
         verdict=verdict_of(gates, inconclusive),
-        runtime_seconds=0.0,
+        runtime_seconds=time.perf_counter() - t0,
     )
 
 
 def _cmd_simulate(cfg: dict, out: Path) -> int:
+    t0 = time.perf_counter()
     grid = _build_grid(cfg)
     flow = _build_flow(cfg, grid)
     if flow is None:
@@ -566,13 +569,14 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
         "blowup_time": traj.blowup_time,
         "artifacts": artifacts,
     }
-    report = _assemble_report("simulate", cfg, stats, gates, inconclusive=False)
+    report = _assemble_report("simulate", cfg, stats, gates, inconclusive=False, t0=t0)
     _write_report(report, out, "simulate")
     _print_gates(report)
     return _exit_code(report)
 
 
 def _cmd_control(cfg: dict, out: Path) -> int:
+    t0 = time.perf_counter()
     grid = _build_grid(cfg)
     section = cfg.get("control", {})
     band = section.get("band", 8)
@@ -629,7 +633,7 @@ def _cmd_control(cfg: dict, out: Path) -> int:
         "gram_worst_deviation": worst_dev,
         "control_norm_sq": float(np.sum(np.abs(ctrl.values) ** 2)),
     }
-    report = _assemble_report("control", cfg, stats, gates, inconclusive=False)
+    report = _assemble_report("control", cfg, stats, gates, inconclusive=False, t0=t0)
     _write_report(report, out, "control")
     _print_gates(report)
     return _exit_code(report)

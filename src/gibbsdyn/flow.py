@@ -35,22 +35,26 @@ from .linear_dynamics import (
     pair_to_state,
     propagate_states,
     propagator,
+    propagator_columns,
     state_to_pair,
 )
 from .spectral import (
+    TWO_PI,
     GridSpec,
     PairField,
     SpectralField,
     abs2_modes,
+    cube_index,
     dealiased_cube_coeffs,
     holder_norm,
     quartic_integral_coeffs,
     sobolev_pair_norm,
 )
 
-TWO_PI = 2.0 * np.pi
-
 ENERGY_CEILING = 1e12
+
+# complex entries per scattered block of increments (1 MiB)
+_SCATTER_ITEMS = 1 << 16
 
 
 class PicardDivergenceError(RuntimeError):
@@ -125,14 +129,20 @@ class Trajectory:
 
 
 def kick_states(cfg: FlowConfig, states: np.ndarray, h: float) -> None:
-    """In-place velocity shear p -= h * gamma * P_N (P_N u)^3 on flat states."""
+    """In-place velocity shear p -= h * gamma * P_N (P_N u)^3 on flat states.
+
+    Only the velocity modes inside the cube change; the shear is zero outside.
+    """
     if cfg.gamma == 0.0 or cfg.N < 0:
         return
     grid = cfg.grid
     batch = states.shape[:-2]
-    coeffs = states[..., 0, :].reshape(batch + grid.mode_shape)
-    cube = dealiased_cube_coeffs(grid, coeffs, cfg.N)
-    states[..., 1, :] -= (h * cfg.gamma) * cube.reshape(batch + (grid.n_modes,))
+    # splitting the last axis into the mode shape always gives views
+    u = states[..., 0, :].reshape(batch + grid.mode_shape)
+    p = states[..., 1, :].reshape(batch + grid.mode_shape)
+    cube = cube_index(grid, cfg.N)
+    p_cube = p[cube]
+    p_cube -= (h * cfg.gamma) * dealiased_cube_coeffs(grid, u, cfg.N)[cube]
 
 
 def nonlinear_kick(v: PairField, h: float, cfg: FlowConfig) -> PairField:
@@ -140,6 +150,55 @@ def nonlinear_kick(v: PairField, h: float, cfg: FlowConfig) -> PairField:
     state = pair_to_state(v).copy()
     kick_states(cfg, state, h)
     return state_to_pair(cfg.grid, state)
+
+
+class Stepper:
+    """The splitting step for one (grid, N, gamma, h), its tables built once.
+
+    `step`, `evolve` and `evolve_ensemble` all advance states with `run`, so
+    one sequence of operations defines the scheme: propagate and add the first
+    half-step increment, kick, propagate and add the second.  The half-step
+    propagator is held in the layout `propagate_states` reads fastest.  Arrays
+    are allocated per call, so one stepper can serve several threads.
+    """
+
+    def __init__(self, cfg: FlowConfig):
+        self.cfg = cfg
+        self.table = build_table(cfg.grid, cfg.h / 2)
+        self.S = propagator_columns(self.table.S)
+
+    def _half(self, layers: np.ndarray, inc: np.ndarray) -> np.ndarray:
+        out = propagate_states(self.S, layers)
+        out += inc
+        return out
+
+    def run(self, layers: np.ndarray, blocks, visit_steps=(), visit=None) -> np.ndarray:
+        """Advance layers (L, rows, 2, n_modes) through an iterable of half-step
+        increment blocks, each (rows, 2 * steps, n_half, 2), and return them.
+
+        Every layer takes the same increments, and only layer 0 is kicked, so
+        a recorded run carries its linear solution as layer 1 and one
+        propagation and one increment add serve both.  After each step k in
+        the container visit_steps, visit(k, layers) runs, and the run stops
+        when it returns True.
+        """
+        cfg, grid = self.cfg, self.cfg.grid
+        # half-steps per scatter: whole blocks for narrow batches, one at a
+        # time once a half-step's increments alone exceed the budget
+        span = max(1, _SCATTER_ITEMS // (2 * layers.shape[1] * grid.n_modes))
+        k = 0
+        for eta in blocks:
+            for lo in range(0, eta.shape[1], span):
+                inc = increments_to_states(grid, eta[:, lo : lo + span])
+                for j in range(inc.shape[1]):
+                    layers = self._half(layers, inc[:, j])
+                    if (lo + j) % 2 == 0:  # the kick sits between the half-steps
+                        kick_states(cfg, layers[0], cfg.h)
+                        continue
+                    k += 1
+                    if k in visit_steps and visit(k, layers):
+                        return layers
+        return layers
 
 
 def step(
@@ -150,12 +209,8 @@ def step(
     if abs(table.h - cfg.h / 2) > 1e-12 * cfg.h:
         raise ValueError("table must be built at half the flow step")
     eta = draw_increments(table, gen, 2)
-    s = propagate_states(table.S, pair_to_state(state)) + increments_to_states(
-        cfg.grid, eta[0]
-    )
-    kick_states(cfg, s[None], cfg.h)
-    s = propagate_states(table.S, s) + increments_to_states(cfg.grid, eta[1])
-    return state_to_pair(cfg.grid, s), eta
+    layers = Stepper(cfg).run(pair_to_state(state)[None, None], [eta[None]])
+    return state_to_pair(cfg.grid, layers[0, 0]), eta
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +273,8 @@ def evolve(
     1e12) truncates the trajectory and sets blowup_time.
     """
     grid = cfg.grid
-    table = build_table(grid, cfg.h / 2)
+    stepper = Stepper(cfg)
+    table = stepper.table
     n_steps = cfg.n_steps
     if noise_path is not None:
         noise_path.check()
@@ -244,36 +300,37 @@ def evolve(
     linear_states = [state_to_pair(grid, linear)] if record else None
     blowup_time = None
 
-    for k in range(n_steps):
-        if noise_path is not None:
-            eta = noise_path.increments[2 * k : 2 * k + 2]
-        else:
-            eta = draw_increments(table, gen, 2)
-        if record:
-            increments[2 * k : 2 * k + 2] = eta
-        state = propagate_states(table.S, state) + increments_to_states(grid, eta[0])
-        kick_states(cfg, state[None], cfg.h)
-        state = propagate_states(table.S, state) + increments_to_states(grid, eta[1])
-        if record:
-            linear = propagate_states(table.S, linear) + increments_to_states(
-                grid, eta[0]
-            )
-            linear = propagate_states(table.S, linear) + increments_to_states(
-                grid, eta[1]
-            )
-        t = (k + 1) * cfg.h
-        sampled = (k + 1) % thin == 0 or k + 1 == n_steps
-        if sampled:
-            times.append(t)
-            states.append(state_to_pair(grid, state))
+    def blocks():
+        # every block ends at a sample step, so a blowup stops the draws
+        # exactly where the trajectory stops
+        for k in range(0, n_steps, thin):
+            span = slice(2 * k, 2 * min(k + thin, n_steps))
+            if noise_path is not None:
+                eta = noise_path.increments[span]
+            else:
+                eta = draw_increments(table, gen, span.stop - span.start)
             if record:
-                linear_states.append(state_to_pair(grid, linear))
-            probe = state - linear if record else state
-            if not np.all(np.isfinite(probe.view(float))) or (
-                float(energy_states(grid, probe[None])[0]) > ENERGY_CEILING
-            ):
-                blowup_time = t
-                break
+                increments[span] = eta
+            yield eta[None]
+
+    def visit(k: int, layers: np.ndarray) -> bool:
+        nonlocal blowup_time
+        t = k * cfg.h
+        times.append(t)
+        states.append(state_to_pair(grid, layers[0, 0]))
+        if record:
+            linear_states.append(state_to_pair(grid, layers[1, 0]))
+        probe = layers[0] - layers[1] if record else layers[0]
+        if not np.all(np.isfinite(probe.view(float))) or (
+            float(energy_states(grid, probe)[0]) > ENERGY_CEILING
+        ):
+            blowup_time = t
+            return True
+        return False
+
+    sample_steps = {k for k in range(1, n_steps + 1) if k % thin == 0 or k == n_steps}
+    layers = np.stack((state, linear)) if record else state[None]
+    stepper.run(layers[:, None], blocks(), sample_steps, visit)
 
     path = None
     if record:
@@ -312,7 +369,8 @@ def evolve_ensemble(
     its own fixed-order stream and outputs are assembled by row index.
     """
     grid = cfg.grid
-    table = build_table(grid, cfg.h / 2)
+    stepper = Stepper(cfg)
+    table = stepper.table
     n_steps = cfg.n_steps
     B = initial_states.shape[0]
     if len(generators) != B:
@@ -320,6 +378,7 @@ def evolve_ensemble(
     every = default_thin(cfg.h) if sample_every is None else max(1, sample_every)
     sample_steps = [k for k in range(1, n_steps + 1) if k % every == 0 or k == n_steps]
     sample_times = np.array([0.0] + [k * cfg.h for k in sample_steps])
+    sample_index = {k: i + 1 for i, k in enumerate(sample_steps)}
     obs = observables or {}
     series = {
         name: np.empty((len(sample_times), B)) for name in obs
@@ -327,37 +386,28 @@ def evolve_ensemble(
     finals = np.empty_like(initial_states)
 
     def run_chunk(lo: int, hi: int) -> None:
-        states = initial_states[lo:hi].copy()
         gens = generators[lo:hi]
-        rows = hi - lo
-        for name, fn in obs.items():
-            series[name][0, lo:hi] = fn(grid, states)
-        sample_ptr = 0
-        k = 0
-        while k < n_steps:
-            nb = min(time_block, n_steps - k)
-            draws = np.empty((rows, 2 * nb, table.n_half, 2), dtype=complex)
-            for r in range(rows):
-                draws[r] = draw_increments(table, gens[r], 2 * nb)
-            for j in range(nb):
-                eta = draws[:, 2 * j]
-                states = propagate_states(table.S, states) + increments_to_states(
-                    grid, eta
-                )
-                kick_states(cfg, states, cfg.h)
-                eta = draws[:, 2 * j + 1]
-                states = propagate_states(table.S, states) + increments_to_states(
-                    grid, eta
-                )
-                if (k + j + 1) in sample_steps_set:
-                    idx = sample_index[k + j + 1]
-                    for name, fn in obs.items():
-                        series[name][idx, lo:hi] = fn(grid, states)
-            k += nb
-        finals[lo:hi] = states
 
-    sample_steps_set = set(sample_steps)
-    sample_index = {kk: i + 1 for i, kk in enumerate(sample_steps)}
+        def observe(idx: int, states: np.ndarray) -> None:
+            for name, fn in obs.items():
+                series[name][idx, lo:hi] = fn(grid, states)
+
+        def blocks():
+            for k in range(0, n_steps, time_block):
+                nb = min(time_block, n_steps - k)
+                draws = np.empty((hi - lo, 2 * nb, table.n_half, 2), dtype=complex)
+                for r, gen in enumerate(gens):
+                    draws[r] = draw_increments(table, gen, 2 * nb)
+                yield draws
+
+        observe(0, initial_states[lo:hi])
+        layers = stepper.run(
+            initial_states[None, lo:hi],
+            blocks(),
+            sample_index,
+            lambda k, layers: observe(sample_index[k], layers[0]),
+        )
+        finals[lo:hi] = layers[0]
 
     chunks = [(lo, min(lo + row_chunk, B)) for lo in range(0, B, row_chunk)]
     if threads > 1 and len(chunks) > 1:

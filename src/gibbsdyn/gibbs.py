@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
+    TWO_PI,
     GridSpec,
     PairField,
     SpectralField,
@@ -32,8 +33,6 @@ from .spectral import (
 from .linear_dynamics import increments_to_states, pair_to_state, state_to_pair
 
 logger = logging.getLogger(__name__)
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)

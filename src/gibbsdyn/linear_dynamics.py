@@ -27,7 +27,6 @@ from .spectral import (
     SpectralField,
     half_lattice,
     holder_norm,
-    mirror_of_half,
     mode_tuples,
     omega2,
 )
@@ -112,8 +111,23 @@ def apply_propagator(v: PairField, t: float) -> PairField:
 
 
 def propagate_states(S: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Apply per-mode 2x2 matrices to flat states of shape (..., 2, n_modes)."""
-    return np.einsum("mij,...jm->...im", S, states)
+    """Apply per-mode 2x2 matrices S (n_modes, 2, 2) to flat states (..., 2, n_modes).
+
+    out[..., :, m] = S[m, :, 0] * states[..., 0, m] + S[m, :, 1] * states[..., 1, m],
+    as two broadcast products over the columns of S.  A complex S whose memory
+    holds each column as one contiguous (2, n_modes) block (see
+    `propagator_columns`) is applied with no casting or strided reads.
+    """
+    cols = S.transpose(2, 1, 0)  # cols[j][i, m] = S[m, i, j]
+    out = cols[0] * states[..., 0:1, :]
+    out += cols[1] * states[..., 1:2, :]
+    return out
+
+
+def propagator_columns(S: np.ndarray) -> np.ndarray:
+    """The matrices S (n_modes, 2, 2) as a complex view over column-major
+    per-entry memory, the layout `propagate_states` reads fastest."""
+    return np.ascontiguousarray(S.transpose(2, 1, 0), dtype=complex).transpose(2, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -192,17 +206,23 @@ def draw_increments(table: PropagatorTable, gen: np.random.Generator, n_steps: i
     g = gen.standard_normal((n_steps, table.n_half, 2, 2))
     z = (g[..., 0] + 1j * g[..., 1]) * INV_SQRT2
     z[:, 0, :] = g[:, 0, :, 0]  # zero mode: real, full variance
-    return np.einsum("mij,smj->smi", table.chol, z)
+    # chol[m] @ z[s, m] as two broadcast products over the columns of chol
+    cols = table.chol.transpose(2, 0, 1)  # cols[j][m, i] = chol[m, i, j]
+    out = cols[0] * z[..., 0:1]
+    out += cols[1] * z[..., 1:2]
+    return out
 
 
 def increments_to_states(grid: GridSpec, eta: np.ndarray) -> np.ndarray:
     """Expand half-lattice increments (..., n_half, 2) to flat states (..., 2, n_modes)."""
-    half = half_lattice(grid)
-    mirr = mirror_of_half(grid)
-    e = np.moveaxis(eta, -1, -2)
-    out = np.zeros(e.shape[:-1] + (grid.n_modes,), dtype=complex)
-    out[..., half] = e
-    out[..., mirr[1:]] = np.conj(e[..., 1:])
+    # the half lattice is the flat range from the zero mode up, and its mirror
+    # images are the range below it in reverse order (spectral._lattice), so
+    # both writes are basic slices and together they cover every mode
+    zero = half_lattice(grid)[0]
+    e = eta.swapaxes(-1, -2)
+    out = np.empty(e.shape[:-1] + (grid.n_modes,), dtype=complex)
+    out[..., zero:] = e
+    np.conjugate(e[..., 1:], out=out[..., zero - 1 :: -1])
     return out
 
 

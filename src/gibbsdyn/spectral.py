@@ -77,20 +77,14 @@ def _lattice(grid: GridSpec):
         abs2 += m.astype(float) ** 2
     modes = np.stack([m.ravel() for m in mesh], axis=1)  # (n_modes, d)
 
-    # half lattice: 0 first, then modes whose first nonzero coordinate is
-    # positive, in lexicographic order of the integer tuple
-    pos = []
-    for i, n in enumerate(modes):
-        nz = n[n != 0]
-        if nz.size and nz[0] > 0:
-            pos.append(i)
-    pos.sort(key=lambda i: tuple(modes[i]))
-    zero_flat = int(np.flatnonzero((modes == 0).all(axis=1))[0])
-    half = np.array([zero_flat] + pos)
-
-    # flat index of -n for every mode (reversal of every axis)
-    mirror_shaped = np.arange(grid.n_modes).reshape(grid.mode_shape)[(slice(None, None, -1),) * d]
-    mirror = mirror_shaped.ravel()
+    # C order lists the modes in lexicographic order of the integer tuple, and
+    # reversing every axis reverses the flat order.  So the half lattice (0,
+    # then the modes whose first nonzero coordinate is positive, in
+    # lexicographic order) is the flat range from the zero mode up, and the
+    # mirror -n of flat index i is n_modes - 1 - i.
+    zero_flat = grid.n_modes // 2
+    half = np.arange(zero_flat, grid.n_modes)
+    mirror = np.arange(grid.n_modes)[::-1].copy()
 
     return {
         "abs2": abs2,
@@ -223,36 +217,59 @@ def scatter_half(grid: GridSpec, half_values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fft_positions(grid: GridSpec, m: int) -> np.ndarray:
-    K = grid.K
-    if m < 2 * K + 1:
-        raise ValueError(f"evaluation grid m={m} cannot hold the band K={K}")
-    return np.arange(-K, K + 1) % m
+@lru_cache(maxsize=None)
+def _embedding(band: int, m: int, d: int, offset: int = 0) -> tuple:
+    """Where the modes -band..band of a coefficient array sit on an m^d FFT grid.
+
+    Mode n lives at position n mod m on every axis, so the (2*band+1)^d block
+    splits into 2^d rectangles.  The block starts at index `offset` on every
+    coefficient axis (0 for a full-band array, K - N for the cube |n|_inf <= N
+    inside one).  Returns (grid index, coefficient index) pairs, one per
+    rectangle, for copying between the two layouts with basic slicing.
+    """
+    if m < 2 * band + 1:
+        raise ValueError(f"evaluation grid m={m} cannot hold the band K={band}")
+    pairs = [(slice(0, band + 1), slice(offset + band, offset + 2 * band + 1))]
+    if band > 0:
+        pairs.append((slice(m - band, m), slice(offset, offset + band)))
+    rects = [((), ())]
+    for _ in range(d):
+        rects = [(g + (gs,), c + (cs,)) for g, c in rects for gs, cs in pairs]
+    return tuple(((Ellipsis,) + g, (Ellipsis,) + c) for g, c in rects)
 
 
-def _embed_index(grid: GridSpec, m: int) -> tuple[np.ndarray, ...]:
-    pos = _fft_positions(grid, m)
-    return np.ix_(*([pos] * grid.d))
+def _embed(coeffs: np.ndarray, blocks: tuple, m: int, d: int) -> np.ndarray:
+    """Zero-padded m^d FFT layout of the modes `blocks` selects (batch dims allowed)."""
+    emb = np.zeros(coeffs.shape[: coeffs.ndim - d] + (m,) * d, dtype=complex)
+    for g, c in blocks:
+        emb[g] = coeffs[c]
+    return emb
+
+
+def _over_last(transform, a: np.ndarray, d: int) -> np.ndarray:
+    """np.fft.fftn/ifftn over the last d axes without their argument handling:
+    the same 1-D `transform` calls, last axis first."""
+    for axis in range(-1, -d - 1, -1):
+        a = transform(a, axis=axis)
+    return a
 
 
 def coeffs_to_grid(grid: GridSpec, coeffs: np.ndarray, m: int | None = None) -> np.ndarray:
     """Evaluate coefficient arrays (leading batch dims allowed) on an m^d grid."""
     m = grid.M if m is None else int(m)
-    lead = coeffs.shape[: coeffs.ndim - grid.d]
-    emb = np.zeros(lead + (m,) * grid.d, dtype=complex)
-    emb[(Ellipsis,) + _embed_index(grid, m)] = coeffs
-    axes = tuple(range(len(lead), len(lead) + grid.d))
-    vals = np.fft.ifftn(emb, axes=axes) * float(m) ** grid.d
+    emb = _embed(coeffs, _embedding(grid.K, m, grid.d), m, grid.d)
+    vals = _over_last(np.fft.ifft, emb, grid.d) * float(m) ** grid.d
     return vals.real
 
 
 def grid_to_coeffs(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Fourier coefficients of real grid samples, restricted to the mode cube."""
-    lead = values.shape[: values.ndim - grid.d]
     m = values.shape[-1]
-    axes = tuple(range(len(lead), len(lead) + grid.d))
-    c = np.fft.fftn(values, axes=axes) / float(m) ** grid.d
-    return c[(Ellipsis,) + _embed_index(grid, m)]
+    c = _over_last(np.fft.fft, values, grid.d) / float(m) ** grid.d
+    out = np.empty(values.shape[: values.ndim - grid.d] + grid.mode_shape, dtype=complex)
+    for g, cs in _embedding(grid.K, m, grid.d):
+        out[cs] = c[g]
+    return out
 
 
 def to_physical(field: SpectralField, m: int | None = None) -> np.ndarray:
@@ -284,6 +301,14 @@ def cube_mask(grid: GridSpec, N: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=None)
+def cube_index(grid: GridSpec, N: int) -> tuple:
+    """Basic index of the modes max_j |n_j| <= N in a (..., *mode_shape) array."""
+    if not 0 <= N <= grid.K:
+        raise ValueError(f"cube size N={N} outside [0, K={grid.K}]")
+    return (Ellipsis,) + (slice(grid.K - N, grid.K + N + 1),) * grid.d
+
+
 def project_cube_coeffs(grid: GridSpec, coeffs: np.ndarray, N: int) -> np.ndarray:
     return coeffs * cube_mask(grid, N)
 
@@ -298,15 +323,25 @@ def project_cube_pair(v: PairField, N: int) -> PairField:
 
 
 def dealiased_cube_coeffs(grid: GridSpec, coeffs: np.ndarray, N: int) -> np.ndarray:
+    if N < -1:
+        raise ValueError(f"cube size must be >= -1, got {N}")
     if N == -1:
         return np.zeros_like(coeffs)
     if grid.M < 4 * N + 2:
         raise AliasError(
             f"grid M={grid.M} too small for alias-free cubing at N={N} (need M >= {4 * N + 2})"
         )
-    trunc = project_cube_coeffs(grid, coeffs, N)
-    vals = coeffs_to_grid(grid, trunc)
-    return project_cube_coeffs(grid, grid_to_coeffs(grid, vals**3), N)
+    M, d = grid.M, grid.d
+    # only the cube's modes enter the M^d grid, and only they are read back
+    blocks = _embedding(N, M, d, grid.K - N)
+    scale = float(M) ** d
+    vals = (_over_last(np.fft.ifft, _embed(coeffs, blocks, M, d), d) * scale).real
+    spec = _over_last(np.fft.fft, vals**3, d)
+    spec /= scale
+    out = np.zeros(coeffs.shape, dtype=complex)
+    for g, c in blocks:
+        out[c] = spec[g]
+    return out
 
 
 def dealiased_cube(field: SpectralField, N: int) -> SpectralField:

@@ -247,6 +247,26 @@ def test_simulate_dump_noise_requires_recording(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("simulate", "--set", "flow.T=0.5"), ("sample", "--set", "sample.count=64"), ("control",)],
+    ids=["simulate", "sample", "control"],
+)
+def test_utility_runtime_goes_to_sidecar_only(tmp_path, capsys, args):
+    # the sidecar carries the measured runtime; the canonical report holds no
+    # timing, so it stays byte-identical from run to run
+    reports = []
+    for sub, threads in (("a", "1"), ("b", "2")):
+        out = tmp_path / sub
+        assert main([*args, "--threads", threads, "--out", str(out)]) == 0
+        sidecar = json.loads((out / f"{args[0]}_runtime.json").read_text())
+        assert sidecar["runtime_seconds"] > 0.0
+        reports.append((out / f"{args[0]}_report.json").read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert b"runtime" not in reports[0]
+
+
 def test_control_report_and_gram_csv(tmp_path, capsys):
     rc = run(tmp_path, "control")
     assert rc == 0

@@ -235,6 +235,37 @@ def test_ensemble_matches_single_and_is_batch_invariant(rng):
     assert np.array_equal(t1, t2)
 
 
+@pytest.mark.parametrize(
+    "grid,N", [(GridSpec(2, 10, 3.0), 2), (GridSpec(3, 6, 4.0), 1)], ids=["d2", "d3"]
+)
+def test_ensemble_matches_single_in_higher_dimensions(grid, N, rng):
+    cfg = FlowConfig(grid, N, 0.5, 0.05, 0.35)  # 7 steps
+    B = 5
+    init = np.stack([pair_to_state(random_pair(grid, rng)) for _ in range(B)])
+    seed = 4242
+
+    def gens():
+        return [rngmod.stream(seed, 1, i) for i in range(B)]
+
+    obs = {"quartic": lambda g, s: energy_states(g, s)}
+    t1, s1, f1 = evolve_ensemble(cfg, init, gens(), obs)
+    for i in range(B):
+        traj = evolve(state_to_pair(grid, init[i]), cfg, rngmod.stream(seed, 1, i))
+        assert np.array_equal(pair_to_state(traj.states[-1]), f1[i])
+    # the recording path (linear layer alongside) steps the same states
+    rec = evolve(
+        state_to_pair(grid, init[0]), FlowConfig(grid, N, 0.5, 0.05, 0.35, record_noise=True),
+        rngmod.stream(seed, 1, 0),
+    )
+    assert np.array_equal(pair_to_state(rec.states[-1]), f1[0])
+    # several row chunks on two threads, time blocks that do not divide the
+    # step count: the same values
+    t2, s2, f2 = evolve_ensemble(cfg, init, gens(), obs, row_chunk=2, time_block=3, threads=2)
+    assert np.array_equal(f1, f2)
+    assert np.array_equal(s1["quartic"], s2["quartic"])
+    assert np.array_equal(t1, t2)
+
+
 # ---------------------------------------------------------------------------
 # Picard oracle
 # ---------------------------------------------------------------------------
