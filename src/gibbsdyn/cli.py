@@ -31,6 +31,7 @@ from .control import NumericalError, forward_map, gram_form, right_inverse
 from .flow import FlowConfig, PicardDivergenceError, energy_states, evolve
 from .gibbs import GibbsConfig, WeightedEnsemble, sample_mu_states, sample_rho
 from .harness import (
+    EnsembleBlowupError,
     ExperimentConfig,
     ExperimentReport,
     Gate,
@@ -741,7 +742,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 64
-    except (NumericalError, PicardDivergenceError, np.linalg.LinAlgError) as e:
+    except (NumericalError, PicardDivergenceError, EnsembleBlowupError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 70
 

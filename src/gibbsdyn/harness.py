@@ -218,6 +218,22 @@ def _member_streams(cfg: ExperimentConfig, group: int, count: int) -> list:
     return [rng.stream(cfg.master_seed, group, i) for i in range(count)]
 
 
+class EnsembleBlowupError(RuntimeError):
+    """An ensemble member's final state or an observable went non-finite."""
+
+
+def _require_finite(finals: np.ndarray, series: dict[str, np.ndarray]) -> None:
+    """Raise on non-finite values in evolve_ensemble's output: a blown-up
+    member is a numerical failure, not a statistic to gate on."""
+    blown = ~np.isfinite(finals).reshape(finals.shape[0], -1).all(axis=1)
+    names = [name for name, values in series.items() if not np.isfinite(values).all()]
+    if blown.any() or names:
+        raise EnsembleBlowupError(
+            f"{int(blown.sum())} of {finals.shape[0]} ensemble members ended non-finite; "
+            f"non-finite observables: {', '.join(names) or 'none'}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # invariance
 # ---------------------------------------------------------------------------
@@ -239,7 +255,7 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ens = WeightedEnsemble(grid, states0.copy(), log_weights, cfg.master_seed)
     battery = resolve_battery(cfg.observables, grid)
 
-    _, series, _ = evolve_ensemble(
+    _, series, finals = evolve_ensemble(
         flow,
         states0,
         _member_streams(cfg, 1, count),
@@ -247,6 +263,7 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         sample_every=flow.n_steps,
         threads=cfg.threads,
     )
+    _require_finite(finals, series)
 
     gates: list[Gate] = []
     stats: dict = {"observables": {}}
@@ -317,13 +334,14 @@ def ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     initials = _default_initial_states(cfg)
     names = list(initials)
     states0 = np.stack([initials[k] for k in names])
-    times, series, _ = evolve_ensemble(
+    times, series, finals = evolve_ensemble(
         flow,
         states0,
         _member_streams(cfg, 3, len(names)),
         battery,
         threads=cfg.threads,
     )
+    _require_finite(finals, series)
     burn = cfg.resolved_burn_in()
     keep = times > burn
     keep_late = times > 2 * burn if burn > 0 else keep
@@ -420,13 +438,14 @@ def linear_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # law of the zero-mode pair at the horizon vs fresh base-measure draws
     count = cfg.ensemble_size
     zeros = np.zeros((count, 2, grid.n_modes), dtype=complex)
-    _, _, finals = evolve_ensemble(
+    _, series, finals = evolve_ensemble(
         flow,
         zeros,
         _member_streams(cfg, 7, count),
         sample_every=flow.n_steps,
         threads=cfg.threads,
     )
+    _require_finite(finals, series)
     mu_draws = sample_mu_states(grid, rng.stream(cfg.master_seed, 8), count)
     scale = cfg.mu_scale
     idx0 = flat_index(grid, (0,) * grid.d)

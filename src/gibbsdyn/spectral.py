@@ -218,20 +218,18 @@ def scatter_half(grid: GridSpec, half_values: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _embedding(band: int, m: int, d: int, offset: int = 0) -> tuple:
+def _embedding(band: int, m: int, d: int) -> tuple:
     """Where the modes -band..band of a coefficient array sit on an m^d FFT grid.
 
     Mode n lives at position n mod m on every axis, so the (2*band+1)^d block
-    splits into 2^d rectangles.  The block starts at index `offset` on every
-    coefficient axis (0 for a full-band array, K - N for the cube |n|_inf <= N
-    inside one).  Returns (grid index, coefficient index) pairs, one per
-    rectangle, for copying between the two layouts with basic slicing.
+    splits into 2^d rectangles.  Returns (grid index, coefficient index) pairs,
+    one per rectangle, for copying between the two layouts with basic slicing.
     """
     if m < 2 * band + 1:
         raise ValueError(f"evaluation grid m={m} cannot hold the band K={band}")
-    pairs = [(slice(0, band + 1), slice(offset + band, offset + 2 * band + 1))]
+    pairs = [(slice(0, band + 1), slice(band, 2 * band + 1))]
     if band > 0:
-        pairs.append((slice(m - band, m), slice(offset, offset + band)))
+        pairs.append((slice(m - band, m), slice(0, band)))
     rects = [((), ())]
     for _ in range(d):
         rects = [(g + (gs,), c + (cs,)) for g, c in rects for gs, cs in pairs]
@@ -322,7 +320,38 @@ def project_cube_pair(v: PairField, N: int) -> PairField:
     return PairField(project_cube(v.u, N), project_cube(v.p, N))
 
 
+@lru_cache(maxsize=None)
+def _half_cube(grid: GridSpec, N: int) -> tuple:
+    """Slice tables for cubing the modes |n|_inf <= N through the half spectrum.
+
+    Returns (pos, neg, blocks).  In a (..., *mode_shape) array, pos selects the
+    cube's modes whose last coordinate is 0..N, and neg selects their mirror
+    images -n in the same order.  blocks pairs each rectangle of the
+    M^(d-1) x (M//2+1) real-FFT layout (last-axis positions 0..N) with its
+    rectangle of a pos-shaped array.
+    """
+    K = grid.K
+    stop = K - N - 1 if K > N else None  # a downward slice through index K - N
+    lead = (slice(K - N, K + N + 1),) * (grid.d - 1)
+    lead_rev = (slice(K + N, stop, -1),) * (grid.d - 1)
+    pos = (Ellipsis,) + lead + (slice(K, K + N + 1),)
+    neg = (Ellipsis,) + lead_rev + (slice(K, stop, -1),)
+    last = slice(0, N + 1)
+    blocks = tuple(
+        (g + (last,), c + (slice(None),)) for g, c in _embedding(N, grid.M, grid.d - 1)
+    )
+    return pos, neg, blocks
+
+
 def dealiased_cube_coeffs(grid: GridSpec, coeffs: np.ndarray, N: int) -> np.ndarray:
+    """Coefficients of P_N (P_N u)^3 for batched coefficient arrays, where u is
+    the real field of the Hermitian part of the input.
+
+    The cube's modes with last coordinate 0..N go onto the half spectrum of
+    the M^d grid, so the transforms are ifft over the leading axes and irfft
+    over the last, then rfft and fft back.  The mirror half of the result is
+    filled by conjugation, so it is exactly Hermitian.
+    """
     if N < -1:
         raise ValueError(f"cube size must be >= -1, got {N}")
     if N == -1:
@@ -332,15 +361,36 @@ def dealiased_cube_coeffs(grid: GridSpec, coeffs: np.ndarray, N: int) -> np.ndar
             f"grid M={grid.M} too small for alias-free cubing at N={N} (need M >= {4 * N + 2})"
         )
     M, d = grid.M, grid.d
-    # only the cube's modes enter the M^d grid, and only they are read back
-    blocks = _embedding(N, M, d, grid.K - N)
-    scale = float(M) ** d
-    vals = (_over_last(np.fft.ifft, _embed(coeffs, blocks, M, d), d) * scale).real
-    spec = _over_last(np.fft.fft, vals**3, d)
-    spec /= scale
-    out = np.zeros(coeffs.shape, dtype=complex)
+    pos, neg, blocks = _half_cube(grid, N)
+    emb = np.zeros(coeffs.shape[: coeffs.ndim - d] + (M,) * (d - 1) + (M // 2 + 1,), dtype=complex)
+    above, below = coeffs[pos], coeffs[neg]
     for g, c in blocks:
-        out[c] = spec[g]
+        # twice the Hermitian part, c[n] + conj(c[-n]), so the field comes out
+        # doubled and its cube 8 times too big; the exact 1/8 comes off at the end
+        part = emb[g]
+        np.conj(below[c], out=part)
+        part += above[c]
+    # norm="forward" leaves the inverse transforms unscaled, so they give grid
+    # values, and puts the 1/M of each axis on the forward transforms
+    cols = emb[..., : N + 1]
+    for axis in range(-2, -d - 1, -1):
+        cols[...] = np.fft.ifft(cols, axis=axis, norm="forward")
+    vals = np.fft.irfft(emb, M, axis=-1, norm="forward")
+    cube = vals * vals
+    cube *= vals
+    spec = np.fft.rfft(cube, axis=-1, norm="forward")[..., : N + 1]
+    for axis in range(-2, -d - 1, -1):
+        spec = np.fft.fft(spec, axis=axis, norm="forward")
+    out = np.zeros(coeffs.shape, dtype=complex)
+    hi, lo = out[pos], out[neg]
+    for g, c in blocks:
+        np.multiply(spec[g], 0.125, out=hi[c])
+    np.conj(hi[..., 1:], out=lo[..., 1:])
+    if d > 1:
+        # the plane of last coordinate 0 is its own mirror image; in one
+        # dimension it is the zero mode, which rfft returns real
+        hi[..., 0] += np.conj(lo[..., 0])
+        hi[..., 0] *= 0.5
     return out
 
 
@@ -429,7 +479,8 @@ def quartic_integral_coeffs(grid: GridSpec, coeffs: np.ndarray, band: int | None
     m = next_fast_len(max(4 * band + 2, 2 * grid.K + 1))
     vals = coeffs_to_grid(grid, coeffs, m)
     axes = tuple(range(vals.ndim - grid.d, vals.ndim))
-    return np.mean(vals**4, axis=axes) * TWO_PI**grid.d
+    vals *= vals
+    return np.mean(vals * vals, axis=axes) * TWO_PI**grid.d
 
 
 def quartic_integral(field: SpectralField, band: int | None = None) -> float:

@@ -2,10 +2,13 @@
 
 These are the straightforward formulations the library used before its
 stepper precomputed its tables: an einsum for the per-mode propagation, a
-zero-filled scatter through fancy indices, and cube masks with np.ix_
-embeddings for the alias-free cube.  The library's kernel performs the same
-floating-point operations in the same order, so the two must agree bit for
-bit (up to the sign of exact zeros, which np.array_equal ignores).
+zero-filled scatter through fancy indices, cube masks with np.ix_ embeddings
+and full complex transforms for the alias-free cube, and `vals**4` for the
+quartic integral.  The library's propagation, scatter, draws and transforms
+perform the same floating-point operations in the same order, so they agree
+bit for bit (up to the sign of exact zeros, which np.array_equal ignores).
+Its cube runs through the half spectrum and its quartic squares twice, so
+those, and the kicks and steps built on them, agree to rounding.
 """
 
 from __future__ import annotations

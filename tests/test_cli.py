@@ -147,6 +147,24 @@ def test_numerical_failure_exits_70(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_ensemble_blowup_exits_70(tmp_path, capsys):
+    # a huge step and interaction drive members to inf: a numerical failure,
+    # not an inconclusive or failed verdict
+    rc = run(
+        tmp_path,
+        *small_invariance(
+            "--set", "flow.h=0.5", "--set", "flow.T=10",
+            "--set", "flow.gamma=10", "--set", "gibbs.gamma=10",
+        ),
+    )
+    assert rc == 70
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "non-finite" in err
+    assert not (tmp_path / "invariance_report.json").exists()
+
+
 def test_reports_byte_identical_across_threads(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
