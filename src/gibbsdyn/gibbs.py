@@ -30,7 +30,7 @@ from .spectral import (
     omega2,
     quartic_integral_coeffs,
 )
-from .linear_dynamics import increments_to_states, pair_to_state, state_to_pair
+from .linear_dynamics import increments_to_states, state_to_pair
 
 logger = logging.getLogger(__name__)
 
@@ -117,17 +117,6 @@ class WeightedEnsemble:
 
     def pair(self, i: int) -> PairField:
         return state_to_pair(self.grid, self.states[i])
-
-    @property
-    def samples(self) -> list[PairField]:
-        return [self.pair(i) for i in range(len(self))]
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: list[PairField], log_weights: np.ndarray, seed: int = 0
-    ) -> "WeightedEnsemble":
-        states = np.stack([pair_to_state(p) for p in pairs])
-        return cls(pairs[0].grid, states, np.asarray(log_weights, dtype=float), seed)
 
     def check(self) -> None:
         if len(self.log_weights) != len(self):

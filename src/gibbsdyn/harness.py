@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import rng
 from .flow import (
@@ -288,6 +287,8 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # unweighted linear case, reported otherwise)
     ks_name = next((n for n in cfg.observables if n.startswith("mode_re:")), None)
     if ks_name is not None:
+        from scipy.stats import ks_2samp  # deferred: scipy.stats costs about 1 s to import
+
         ks = ks_2samp(series[ks_name][0], series[ks_name][-1])
         stats["ks"] = {"observable": ks_name, "statistic": float(ks.statistic), "pvalue": float(ks.pvalue)}
         if gibbs.gamma == 0.0:
@@ -449,6 +450,8 @@ def linear_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     mu_draws = sample_mu_states(grid, rng.stream(cfg.master_seed, 8), count)
     scale = cfg.mu_scale
     idx0 = flat_index(grid, (0,) * grid.d)
+    from scipy.stats import ks_2samp  # deferred: scipy.stats costs about 1 s to import
+
     ks_u = ks_2samp(finals[:, 0, idx0].real, scale * mu_draws[:, 0, idx0].real)
     ks_p = ks_2samp(finals[:, 1, idx0].real, scale * mu_draws[:, 1, idx0].real)
 

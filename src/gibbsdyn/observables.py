@@ -9,8 +9,8 @@ Registered names:
   l2_u         mean square of the displacement field (sum of |u_hat|^2)
   l2_ut        mean square of the velocity field
   quartic      mean of u^4 over the torus
-  mode_re:N    real part of a displacement coefficient, e.g. mode_re:1
-               or mode_re:1,0,0 for d = 3
+  mode_re:N    real part of a displacement coefficient, e.g. mode_re:1,
+               which is mode_re:1,0,0 for d = 3
   mode_im:N    imaginary part of the same
   holder:B     sup norm of (1-Laplacian)^(B/2) u, e.g. holder:0.4
 """
@@ -20,9 +20,16 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.fft import next_fast_len
 
-from .spectral import TWO_PI, GridSpec, bracket2, coeffs_to_grid, flat_index, quartic_integral_coeffs
+from .spectral import (
+    TWO_PI,
+    GridSpec,
+    bracket2,
+    coeffs_to_grid,
+    flat_index,
+    next_fast_len,
+    quartic_integral_coeffs,
+)
 
 Observable = Callable[[GridSpec, np.ndarray], np.ndarray]
 
@@ -83,7 +90,10 @@ _FIXED = {
 
 
 def _parse_mode(arg: str, grid: GridSpec) -> tuple[int, ...]:
+    """A full d-tuple "k1,...,kd", or a single index k for the mode (k, 0, ..., 0)."""
     parts = arg.split(",")
+    if len(parts) == 1:
+        parts += ["0"] * (grid.d - 1)
     if len(parts) != grid.d:
         raise ValueError(f"mode index {arg!r} does not match dimension {grid.d}")
     return tuple(int(p) for p in parts)

@@ -31,8 +31,3 @@ def stream(master_seed: int, *indices: int) -> np.random.Generator:
     for i in indices:
         acc = _mix64(acc + _MIX + _mix64(int(i)))
     return np.random.Generator(np.random.Philox(key=[key0, acc]))
-
-
-def trajectory_streams(master_seed: int, count: int, kind: int = 0) -> list[np.random.Generator]:
-    """Independent per-trajectory streams for an ensemble of a given kind."""
-    return [stream(master_seed, kind, i) for i in range(count)]

@@ -24,9 +24,27 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 TWO_PI = 2.0 * np.pi
+
+
+@lru_cache(maxsize=None)
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n: a transform size pocketfft handles
+    fast, and the value scipy.fft.next_fast_len gives for complex transforms.
+
+    Cached because the observables ask for the same few sizes at every
+    sample step.
+    """
+    m = max(int(n), 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 class AliasError(ValueError):
@@ -316,10 +334,6 @@ def project_cube(field: SpectralField, N: int) -> SpectralField:
     return SpectralField(field.grid, project_cube_coeffs(field.grid, field.coeffs, N))
 
 
-def project_cube_pair(v: PairField, N: int) -> PairField:
-    return PairField(project_cube(v.u, N), project_cube(v.p, N))
-
-
 @lru_cache(maxsize=None)
 def _half_cube(grid: GridSpec, N: int) -> tuple:
     """Slice tables for cubing the modes |n|_inf <= N through the half spectrum.
@@ -429,11 +443,6 @@ def sobolev_pair_norm(v: PairField, alpha: float) -> float:
     wp = br2 ** (alpha - grid.s / 2.0)
     val = np.sum(wu * np.abs(v.u.coeffs) ** 2) + np.sum(wp * np.abs(v.p.coeffs) ** 2)
     return float(np.sqrt(val))
-
-
-def sobolev_norm(field: SpectralField, alpha: float) -> float:
-    br2 = bracket2(field.grid)
-    return float(np.sqrt(np.sum(br2**alpha * np.abs(field.coeffs) ** 2)))
 
 
 def holder_norm_field(field: SpectralField, beta: float, oversample: int = 2) -> float:

@@ -128,6 +128,22 @@ def test_invariance_pass_writes_artifacts(tmp_path, capsys):
     assert (tmp_path / "invariance_series.csv").exists()
 
 
+def test_default_battery_runs_at_d2(tmp_path, capsys):
+    # the default mode_re:1 means the mode (1, 0) on the 2-torus
+    rc = run(
+        tmp_path,
+        *small_invariance(
+            "--set", "grid.d=2", "--set", "grid.s=4", "--set", "grid.M=18",
+            "--set", "flow.N=4", "--set", "gibbs.N=4",
+        ),
+    )
+    capsys.readouterr()
+    assert rc != 64
+    doc = json.loads((tmp_path / "invariance_report.json").read_text())
+    assert doc["stats"]["ks"]["observable"] == "mode_re:1"
+    assert "z:mode_re:1" in [g["name"] for g in doc["gates"]]
+
+
 def test_gate_failure_exits_2(tmp_path, capsys):
     # independent noise across truncations destroys the pathwise decay rate
     rc = run(tmp_path, "nstability", "--set", "experiment.shared_noise=false")

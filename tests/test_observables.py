@@ -74,6 +74,11 @@ def test_multidimensional_mode_names():
 
     idx = flat_index(grid, (1, -2))
     assert np.array_equal(fn(grid, states), states[:, 0, idx].real)
+    # a single index names the mode (k, 0, ..., 0); other counts are rejected
+    idx = flat_index(grid, (2, 0))
+    assert np.array_equal(resolve("mode_im:2", grid)(grid, states), states[:, 0, idx].imag)
+    with pytest.raises(ValueError, match="dimension"):
+        resolve("mode_re:1,0,0", grid)
 
 
 def test_unknown_names_rejected():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import random_field, random_hermitian_coeffs, random_pair
 from gibbsdyn.spectral import (
     AliasError,
@@ -33,6 +34,7 @@ from gibbsdyn.spectral import (
     l2_norm_sq,
     mirror_of_half,
     mode_tuples,
+    next_fast_len,
     omega2,
     project_cube,
     quartic_integral,
@@ -145,6 +147,12 @@ def test_batched_transform_matches_loop(rng):
         assert np.array_equal(together[i], solo)
     back = grid_to_coeffs(grid, together)
     assert np.max(np.abs(back - batch)) < 1e-12
+
+
+def test_next_fast_len_matches_scipy():
+    # the transform sizes, and so every sampled value, must stay those of scipy
+    for n in range(1, 4097):
+        assert next_fast_len(n) == oracles.next_fast_len(n), n
 
 
 # ---------------------------------------------------------------------------
