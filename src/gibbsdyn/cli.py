@@ -28,7 +28,7 @@ import numpy as np
 from . import rng
 from .container import save_ensemble, save_noise
 from .control import NumericalError, forward_map, gram_form, right_inverse
-from .flow import FlowConfig, PicardDivergenceError, energy_states, evolve
+from .flow import FlowConfig, PicardDivergenceError, evolve
 from .gibbs import GibbsConfig, WeightedEnsemble, sample_mu_states, sample_rho
 from .harness import (
     EnsembleBlowupError,
@@ -42,7 +42,7 @@ from .harness import (
     verdict_of,
 )
 from .linear_dynamics import pair_to_state, state_to_pair
-from .spectral import GridSpec, holder_norm, mode_tuples
+from .spectral import GridSpec, hermitianize, holder_norm, mode_tuples
 
 
 class ConfigError(ValueError):
@@ -220,6 +220,8 @@ def load_config(subcommand: str, path: str | None, overrides: list[str], seed=No
     carries every key, so the report echo has no hidden defaults.
     """
     cfg = json.loads(json.dumps(DEFAULTS[subcommand]))  # deep copy
+    # the default s is filled in after the user's keys, because it follows d
+    default_s = cfg["grid"].pop("s") if "grid" in cfg else None
     threads_configured = False
     if path is not None:
         p = Path(path)
@@ -241,6 +243,11 @@ def load_config(subcommand: str, path: str | None, overrides: list[str], seed=No
         _apply_override(cfg, item)
         if item.split("=", 1)[0].strip() == "threads":
             threads_configured = True
+    grid = cfg.get("grid")
+    if default_s is not None and isinstance(grid, dict) and "s" not in grid:
+        # s must exceed d: the beam equation's s = 4 when d > 1 is asked for
+        d = grid.get("d")
+        grid["s"] = 4.0 if isinstance(d, int) and d > 1 else default_s
     if seed is not None:
         cfg["seed"] = seed
     if threads is not None:
@@ -528,7 +535,6 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
         thin_every=section.get("thin_every"),
     )
 
-    v_states = traj.v_states() if traj.linear_states is not None else None
     header = ["t", "E_v", "l2_u", "l2_ut", "holder_alpha", "xalpha_proxy"]
     rows = []
     for k, t in enumerate(traj.times):
@@ -536,8 +542,8 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
         l2u = float(np.sum(np.abs(state[0]) ** 2))
         l2p = float(np.sum(np.abs(state[1]) ** 2))
         hol = holder_norm(traj.states[k], alpha)
-        if v_states is not None:
-            e_v = float(energy_states(grid, pair_to_state(v_states[k])[None])[0])
+        if traj.energies is not None:
+            e_v = float(traj.energies[k])
             proxy_src = traj.linear_states[k]
         else:
             e_v = float("nan")
@@ -595,11 +601,7 @@ def _cmd_control(cfg: dict, out: Path) -> int:
     coeffs = amplitude * (g[..., 0] + 1j * g[..., 1])
     state = np.where(inside[None, :], coeffs, 0.0)
     # Hermitian symmetrization keeps the fields real-valued
-    flat = {tuple(tup): i for i, tup in enumerate(map(tuple, tuples))}
-    sym = np.zeros_like(state)
-    for tup, i in flat.items():
-        j = flat[tuple(-c for c in tup)]
-        sym[:, i] = 0.5 * (state[:, i] + np.conj(state[:, j]))
+    sym = hermitianize(grid, state.reshape((2,) + grid.mode_shape))
     target = state_to_pair(grid, sym)
 
     try:

@@ -39,6 +39,7 @@ from .linear_dynamics import (
     state_to_pair,
 )
 from .spectral import (
+    BATCH_ITEMS,
     TWO_PI,
     GridSpec,
     PairField,
@@ -52,9 +53,6 @@ from .spectral import (
 )
 
 ENERGY_CEILING = 1e12
-
-# complex entries per scattered block of increments (1 MiB)
-_SCATTER_ITEMS = 1 << 16
 
 
 class PicardDivergenceError(RuntimeError):
@@ -101,13 +99,18 @@ class FlowConfig:
 
 @dataclass
 class Trajectory:
-    """Thinned sample-time states of one run, with optional decomposition."""
+    """Thinned sample-time states of one run, with optional decomposition.
+
+    A recorded run also keeps the remainder's energy at every sample time,
+    energy(v) of each of `v_states()`, as its blowup check computed it.
+    """
 
     times: np.ndarray
     states: list[PairField]
     noise: NoisePath | None = None
     linear_states: list[PairField] | None = None
     blowup_time: float | None = None
+    energies: np.ndarray | None = None
 
     def v_states(self) -> list[PairField]:
         if self.linear_states is None:
@@ -185,7 +188,7 @@ class Stepper:
         cfg, grid = self.cfg, self.cfg.grid
         # half-steps per scatter: whole blocks for narrow batches, one at a
         # time once a half-step's increments alone exceed the budget
-        span = max(1, _SCATTER_ITEMS // (2 * layers.shape[1] * grid.n_modes))
+        span = max(1, BATCH_ITEMS // (2 * layers.shape[1] * grid.n_modes))
         k = 0
         for eta in blocks:
             for lo in range(0, eta.shape[1], span):
@@ -298,6 +301,7 @@ def evolve(
     times = [0.0]
     states = [state_to_pair(grid, state)]
     linear_states = [state_to_pair(grid, linear)] if record else None
+    energies = [float(energy_states(grid, (state - linear)[None])[0])] if record else None
     blowup_time = None
 
     def blocks():
@@ -321,9 +325,16 @@ def evolve(
         if record:
             linear_states.append(state_to_pair(grid, layers[1, 0]))
         probe = layers[0] - layers[1] if record else layers[0]
-        if not np.all(np.isfinite(probe.view(float))) or (
-            float(energy_states(grid, probe)[0]) > ENERGY_CEILING
-        ):
+        finite = np.all(np.isfinite(probe.view(float)))
+        if finite:
+            e = float(energy_states(grid, probe)[0])
+        elif record:
+            # a recorded run keeps the energy of a non-finite remainder too
+            with np.errstate(all="ignore"):
+                e = float(energy_states(grid, probe)[0])
+        if record:
+            energies.append(e)
+        if not finite or e > ENERGY_CEILING:
             blowup_time = t
             return True
         return False
@@ -337,7 +348,12 @@ def evolve(
         kept = increments if blowup_time is None else increments[: 2 * round(blowup_time / cfg.h)]
         path = NoisePath(grid, cfg.h / 2, kept)
     return Trajectory(
-        np.array(times), states, path, linear_states, blowup_time
+        np.array(times),
+        states,
+        path,
+        linear_states,
+        blowup_time,
+        np.array(energies) if record else None,
     )
 
 
@@ -387,10 +403,33 @@ def evolve_ensemble(
 
     def run_chunk(lo: int, hi: int) -> None:
         gens = generators[lo:hi]
+        # samples are held and observed in one call per observable, as many
+        # as the batch budget allows and at least one
+        per_call = max(1, min(len(sample_steps), BATCH_ITEMS // ((hi - lo) * 2 * grid.n_modes)))
+        held = np.empty((per_call, hi - lo, 2, grid.n_modes), dtype=complex)
+        first, count = 0, 0  # series index of held[0], samples held
 
         def observe(idx: int, states: np.ndarray) -> None:
+            # states (n, rows, 2, n_modes) are the samples idx .. idx + n - 1
+            n = states.shape[0]
+            flat = states.reshape(n * (hi - lo), 2, grid.n_modes)
             for name, fn in obs.items():
-                series[name][idx, lo:hi] = fn(grid, states)
+                series[name][idx : idx + n, lo:hi] = fn(grid, flat).reshape(n, hi - lo)
+
+        def flush() -> None:
+            nonlocal count
+            if count:
+                observe(first, held[:count])
+                count = 0
+
+        def visit(k: int, layers: np.ndarray) -> None:
+            nonlocal first, count
+            if count == per_call:
+                flush()
+            if not count:
+                first = sample_index[k]
+            held[count] = layers[0]
+            count += 1
 
         def blocks():
             for k in range(0, n_steps, time_block):
@@ -400,13 +439,9 @@ def evolve_ensemble(
                     draws[r] = draw_increments(table, gen, 2 * nb)
                 yield draws
 
-        observe(0, initial_states[lo:hi])
-        layers = stepper.run(
-            initial_states[None, lo:hi],
-            blocks(),
-            sample_index,
-            lambda k, layers: observe(sample_index[k], layers[0]),
-        )
+        observe(0, initial_states[None, lo:hi])
+        layers = stepper.run(initial_states[None, lo:hi], blocks(), sample_index, visit)
+        flush()
         finals[lo:hi] = layers[0]
 
     chunks = [(lo, min(lo + row_chunk, B)) for lo in range(0, B, row_chunk)]
@@ -565,9 +600,9 @@ def energy_monitor(traj: Trajectory, alpha: float) -> EnergyReport:
     """
     from .linear_dynamics import xalpha_norm
 
-    vs = traj.v_states()
-    grid = vs[0].grid
-    energies = np.array([energy(v) for v in vs])
+    if traj.energies is None:
+        raise ValueError("trajectory was run without noise recording")
+    energies = traj.energies
     times = traj.times
     sup_e = float(np.nanmax(energies))
     tail = energies[len(energies) // 2 :]

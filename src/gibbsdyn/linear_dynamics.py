@@ -26,7 +26,8 @@ from .spectral import (
     PairField,
     SpectralField,
     half_lattice,
-    holder_norm,
+    holder_batch_rows,
+    holder_norm_states,
     mode_tuples,
     omega2,
 )
@@ -380,19 +381,28 @@ def xalpha_norm(
 
     A lower bound of the true sup over t >= 0; the tail beyond the horizon is
     negligible for band-limited fields since the propagator decays like
-    e^{-t/2} while the weight only grows like e^{t/8}.
+    e^{-t/2} while the weight only grows like e^{t/8}.  The states are
+    propagated in time order and their norms taken in batches of
+    `holder_batch_rows`.
     """
     if horizon < 0 or dt <= 0:
         raise ValueError("horizon must be >= 0 and dt > 0")
     grid = v.grid
     S = propagator(grid, dt)
+    n_times = int(np.floor(horizon / dt + 1e-9)) + 1
+    per_batch = holder_batch_rows(grid)
+    batch = np.empty((min(per_batch, n_times), 2, grid.n_modes), dtype=complex)
     state = pair_to_state(v)
     best = 0.0
-    n_steps = int(np.floor(horizon / dt + 1e-9))
-    for k in range(n_steps + 1):
-        t = k * dt
-        val = np.exp(t / 8.0) * holder_norm(state_to_pair(grid, state), alpha)
-        if val > best:
-            best = val
-        state = propagate_states(S, state)
+    for lo in range(0, n_times, per_batch):
+        n = min(per_batch, n_times - lo)
+        for j in range(n):
+            if lo + j > 0:
+                state = propagate_states(S, state)
+            batch[j] = state
+        norms = holder_norm_states(grid, batch[:n], alpha)
+        for k, norm in enumerate(norms, start=lo):
+            val = np.exp(k * dt / 8.0) * norm
+            if val > best:
+                best = val
     return best

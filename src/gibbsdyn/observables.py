@@ -24,10 +24,8 @@ import numpy as np
 from .spectral import (
     TWO_PI,
     GridSpec,
-    bracket2,
-    coeffs_to_grid,
     flat_index,
-    next_fast_len,
+    holder_sup,
     quartic_integral_coeffs,
 )
 
@@ -71,12 +69,7 @@ def mode_im(grid: GridSpec, n: tuple[int, ...]) -> Observable:
 
 def holder_u(beta: float, oversample: int = 2) -> Observable:
     def fn(grid: GridSpec, states: np.ndarray) -> np.ndarray:
-        weighted = states[:, 0, :] * bracket2(grid).reshape(-1)[None, :] ** (beta / 2.0)
-        coeffs = weighted.reshape((states.shape[0],) + grid.mode_shape)
-        m = next_fast_len(oversample * (2 * grid.K + 1))
-        vals = coeffs_to_grid(grid, coeffs, m)
-        axes = tuple(range(1, vals.ndim))
-        return np.max(np.abs(vals), axis=axes)
+        return holder_sup(grid, states[:, 0, :], beta, oversample)
 
     return fn
 

@@ -27,6 +27,10 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+# complex entries per batched array (1 MiB): the budget for the stepper's
+# increment scatters, the held ensemble samples and the Hoelder transforms
+BATCH_ITEMS = 1 << 16
+
 
 @lru_cache(maxsize=None)
 def next_fast_len(n: int) -> int:
@@ -445,27 +449,49 @@ def sobolev_pair_norm(v: PairField, alpha: float) -> float:
     return float(np.sqrt(val))
 
 
-def holder_norm_field(field: SpectralField, beta: float, oversample: int = 2) -> float:
-    """Sup norm of (1 - Laplacian)^(beta/2) applied to the field.
+def holder_batch_rows(grid: GridSpec) -> int:
+    """States per `holder_norm_states` call (default oversampling) whose two
+    transform grids hold at most `BATCH_ITEMS` complex entries, and at least one."""
+    m = next_fast_len(2 * (2 * grid.K + 1))
+    return max(1, BATCH_ITEMS // (2 * m**grid.d))
+
+
+def holder_sup(grid: GridSpec, coeffs: np.ndarray, beta: float, oversample: int = 2) -> np.ndarray:
+    """Sup norms of (1 - Laplacian)^(beta/2) applied to flat coefficient rows
+    (..., n_modes), one value per row.
 
     The sup is taken on an oversampled grid (default twice the carrier band),
-    so the value is a lower bound of the true supremum that is exact in the
-    band-limited limit of dense sampling.
+    so each value is a lower bound of the true supremum that is exact in the
+    band-limited limit of dense sampling.  The rows are transformed together,
+    and each row's value does not depend on the others.
     """
-    grid = field.grid
-    weighted = field.coeffs * bracket2(grid) ** (beta / 2.0)
+    weighted = coeffs * bracket2(grid).reshape(-1) ** (beta / 2.0)
     m = next_fast_len(oversample * (2 * grid.K + 1))
-    vals = coeffs_to_grid(grid, weighted, m)
-    return float(np.max(np.abs(vals)))
+    vals = coeffs_to_grid(grid, weighted.reshape(coeffs.shape[:-1] + grid.mode_shape), m)
+    return np.max(np.abs(vals), axis=tuple(range(-grid.d, 0)))
+
+
+def holder_norm_states(grid: GridSpec, states: np.ndarray, beta: float, oversample: int = 2) -> np.ndarray:
+    """Pair Hoelder-type norms of flat states (..., 2, n_modes): the larger of
+    the component sup norms at weights (beta, beta - s/2), one per state.
+
+    Like Python's max, a NaN velocity norm never replaces the displacement's.
+    """
+    su = holder_sup(grid, states[..., 0, :], beta, oversample)
+    sp = holder_sup(grid, states[..., 1, :], beta - grid.s / 2.0, oversample)
+    return np.where(sp > su, sp, su)
+
+
+def holder_norm_field(field: SpectralField, beta: float, oversample: int = 2) -> float:
+    """Sup norm of (1 - Laplacian)^(beta/2) applied to the field (`holder_sup`)."""
+    return float(holder_sup(field.grid, field.coeffs.reshape(-1), beta, oversample))
 
 
 def holder_norm(v: PairField, beta: float, oversample: int = 2) -> float:
     """Pair Hoelder-type norm: max of the component sup norms at weights
     (beta, beta - s/2)."""
-    return max(
-        holder_norm_field(v.u, beta, oversample),
-        holder_norm_field(v.p, beta - v.grid.s / 2.0, oversample),
-    )
+    state = np.stack((v.u.coeffs.reshape(-1), v.p.coeffs.reshape(-1)))
+    return float(holder_norm_states(v.grid, state, beta, oversample))
 
 
 def occupied_band(grid: GridSpec, coeffs: np.ndarray) -> int:

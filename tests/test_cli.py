@@ -144,6 +144,29 @@ def test_default_battery_runs_at_d2(tmp_path, capsys):
     assert "z:mode_re:1" in [g["name"] for g in doc["gates"]]
 
 
+def test_default_s_follows_d(tmp_path, capsys):
+    # s must exceed d: CLI-default invariance at d=2 used to exit 64
+    rc = run(tmp_path, *small_invariance("--set", "grid.d=2"))
+    capsys.readouterr()
+    assert rc != 64
+    doc = json.loads((tmp_path / "invariance_report.json").read_text())
+    assert doc["config"]["grid"] == {"M": 18, "d": 2, "s": 4.0}
+    assert run(tmp_path, *small_invariance("--set", "grid.d=2", "--set", "grid.s=2.0")) == 64
+    assert "s must exceed d" in capsys.readouterr().err
+
+
+def test_default_s_resolution(tmp_path):
+    assert load_config("invariance", None, [])["grid"]["s"] == 2.0
+    assert load_config("invariance", None, ["grid.d=3"])["grid"]["s"] == 4.0
+    assert load_config("decay", None, [])["grid"]["s"] == 4.0
+    assert load_config("invariance", None, ["grid.d=2", "grid.s=5"])["grid"]["s"] == 5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"d": 2, "s": 3.0}}))
+    assert load_config("coupling", str(cfg), [])["grid"]["s"] == 3.0
+    cfg.write_text(json.dumps({"grid": {"d": 2}}))
+    assert load_config("coupling", str(cfg), [])["grid"]["s"] == 4.0
+
+
 def test_gate_failure_exits_2(tmp_path, capsys):
     # independent noise across truncations destroys the pathwise decay rate
     rc = run(tmp_path, "nstability", "--set", "experiment.shared_noise=false")
