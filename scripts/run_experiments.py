@@ -3,7 +3,8 @@
 Writes one report (plus runtime sidecar and CSV series) per experiment
 into the output directory and prints each verdict. The default scale
 matches the documented gates and takes tens of minutes; --quick shrinks
-every run to smoke scale (~1 min total) for a wiring check.
+every run to the smoke scale of `gibbsdyn selftest` (`cli.SMOKE`, about
+1 min total) for a wiring check.
 
     python3 scripts/run_experiments.py --out results/
     python3 scripts/run_experiments.py --out smoke/ --quick
@@ -12,27 +13,13 @@ every run to smoke scale (~1 min total) for a wiring check.
 import argparse
 import sys
 
+from gibbsdyn.cli import SMOKE
 from gibbsdyn.cli import main as cli_main
 
-QUICK_OVERRIDES = {
-    "invariance": [
-        "experiment.ensemble_size=256", "experiment.ess_floor=50",
-        "flow.T=0.5",
-    ],
-    "ergodicity": [
-        "flow.T=400", "flow.h=0.02", "experiment.ensemble_size=4096",
-        "experiment.ess_floor=64", "experiment.rel_tolerance=0.25",
-    ],
-    "linear": ["experiment.ensemble_size=256", "flow.T=2"],
-    "decay": ["experiment.ensemble_size=32"],
-    "nstability": [],
-    "coupling": ["flow.T=10", "experiment.envelope_horizon=2"],
-}
-
-EXPERIMENTS = list(QUICK_OVERRIDES)
+EXPERIMENTS = list(SMOKE)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="results", help="report directory")
     ap.add_argument("--seed", type=int, default=None, help="master seed")
@@ -41,18 +28,18 @@ def main() -> int:
         "--only", nargs="*", choices=EXPERIMENTS, default=None,
         help="subset of experiments to run",
     )
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     worst = 0
     for name in args.only or EXPERIMENTS:
-        argv = [name, "--out", args.out]
+        cli_argv = [name, "--out", args.out]
         if args.seed is not None:
-            argv += ["--seed", str(args.seed)]
+            cli_argv += ["--seed", str(args.seed)]
         if args.quick:
-            for kv in QUICK_OVERRIDES[name]:
-                argv += ["--set", kv]
+            for kv in SMOKE[name]:
+                cli_argv += ["--set", kv]
         print(f"== {name} ==", flush=True)
-        code = cli_main(argv)
+        code = cli_main(cli_argv)
         print(f"   exit {code}", flush=True)
         worst = max(worst, code) if code != 64 else 64
         if code == 64:

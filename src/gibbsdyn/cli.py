@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ import numpy as np
 from . import rng
 from .container import save_ensemble, save_noise
 from .control import NumericalError, forward_map, gram_form, right_inverse
-from .flow import FlowConfig, PicardDivergenceError, evolve
+from .flow import FlowConfig, evolve
 from .gibbs import GibbsConfig, WeightedEnsemble, sample_mu_states, sample_rho
 from .harness import (
     EnsembleBlowupError,
@@ -53,79 +54,25 @@ class ConfigError(ValueError):
 # configuration schema
 # ---------------------------------------------------------------------------
 
-_GRID_KEYS = {"d", "M", "s"}
-_FLOW_KEYS = {"N", "gamma", "h", "T", "record_noise"}
-_GIBBS_KEYS = {"N", "gamma"}
-_EXPERIMENT_KEYS = {
-    "ensemble_size",
-    "observables",
-    "z_threshold",
-    "ess_floor",
-    "rel_tolerance",
-    "ks_pvalue_floor",
-    "burn_in",
-    "kick_factor",
-    "mu_scale",
-    "shared_noise",
-    "weight_exponent",
-    "n_values",
-    "windows",
-    "stick_time",
-    "alpha",
-    "target_energy",
-    "decay_rate_gate",
-    "envelope_scales",
-    "envelope_horizon",
-}
-_SAMPLE_KEYS = {"measure", "count", "method", "burn_in"}
-_SIMULATE_KEYS = {"initial", "thin_every", "dump_states", "dump_noise"}
-_CONTROL_KEYS = {"band", "t", "steps", "amplitude"}
-_TOP_KEYS = {
-    "grid",
-    "flow",
-    "gibbs",
-    "experiment",
-    "sample",
-    "simulate",
-    "control",
-    "seed",
-    "threads",
-}
-_SECTION_KEYS = {
-    "grid": _GRID_KEYS,
-    "flow": _FLOW_KEYS,
-    "gibbs": _GIBBS_KEYS,
-    "experiment": _EXPERIMENT_KEYS,
-    "sample": _SAMPLE_KEYS,
-    "simulate": _SIMULATE_KEYS,
-    "control": _CONTROL_KEYS,
-}
-
-# per-subcommand defaults; every key below is echoed into the report so a
-# report alone pins down the run completely
+# per-subcommand defaults; every key below, with the seed, is echoed into the
+# report so a report alone pins down the run completely
 DEFAULTS: dict[str, dict] = {
     "sample": {
         "grid": {"d": 1, "M": 66, "s": 2.0},
         "gibbs": {"N": 16, "gamma": 0.1},
         "sample": {"measure": "rho", "count": 1024, "method": "reweight", "burn_in": 0},
-        "seed": 20260819,
-        "threads": 1,
     },
     "simulate": {
         "grid": {"d": 1, "M": 18, "s": 2.0},
         "flow": {"N": 4, "gamma": 0.1, "h": 0.01, "T": 10.0, "record_noise": True},
         "experiment": {"alpha": 0.4},
         "simulate": {"initial": "zero", "thin_every": None, "dump_states": False, "dump_noise": False},
-        "seed": 20260819,
-        "threads": 1,
     },
     "invariance": {
         "grid": {"d": 1, "M": 18, "s": 2.0},
         "flow": {"N": 4, "gamma": 0.1, "h": 0.01, "T": 1.0},
         "gibbs": {"N": 4, "gamma": 0.1},
         "experiment": {"ensemble_size": 512, "ess_floor": 64.0},
-        "seed": 20260819,
-        "threads": 1,
     },
     "ergodicity": {
         "grid": {"d": 1, "M": 18, "s": 2.0},
@@ -138,28 +85,20 @@ DEFAULTS: dict[str, dict] = {
             # observables like mode_re:n average to zero here
             "observables": ["l2_u", "l2_ut", "quartic"],
         },
-        "seed": 20260819,
-        "threads": 1,
     },
     "linear": {
         "grid": {"d": 1, "M": 10, "s": 2.0},
         "flow": {"N": -1, "gamma": 0.0, "h": 0.05, "T": 8.0},
         "experiment": {"ensemble_size": 1024},
-        "seed": 20260819,
-        "threads": 1,
     },
     "decay": {
         "grid": {"d": 1, "M": 18, "s": 4.0},
         "experiment": {"ensemble_size": 64, "windows": 8, "stick_time": 1.0, "alpha": 0.4},
-        "seed": 20260819,
-        "threads": 1,
     },
     "nstability": {
         "grid": {"d": 1, "M": 36, "s": 2.0},
         "flow": {"N": 8, "gamma": 1.0, "h": 0.05, "T": 0.5},
         "experiment": {"n_values": [2, 4, 8], "alpha": 0.4},
-        "seed": 20260819,
-        "threads": 1,
     },
     "coupling": {
         "grid": {"d": 1, "M": 18, "s": 2.0},
@@ -170,26 +109,51 @@ DEFAULTS: dict[str, dict] = {
             "envelope_scales": [1.0, 2.0, 4.0],
             "envelope_horizon": 5.0,
         },
-        "seed": 20260819,
-        "threads": 1,
     },
     "control": {
         "grid": {"d": 1, "M": 18, "s": 4.0},
         "control": {"band": 8, "t": 1.0, "steps": 2048, "amplitude": 1.0},
-        "seed": 20260819,
-        "threads": 1,
     },
-    "selftest": {"seed": 20260819, "threads": 1},
+    "selftest": {},
 }
 
-_EXPERIMENT_SUBCOMMANDS = (
-    "invariance",
-    "ergodicity",
-    "linear",
-    "decay",
-    "nstability",
-    "coupling",
-)
+
+def _field_names(cls, *skip: str) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)} - set(skip)
+
+
+# every config key is a dataclass field or a key of the subcommand's DEFAULTS;
+# the CLI fills the experiment name, sections, seed and threads itself
+_SECTION_KEYS = {
+    "grid": _field_names(GridSpec),
+    "flow": _field_names(FlowConfig, "grid"),
+    "gibbs": _field_names(GibbsConfig, "grid"),
+    "experiment": _field_names(
+        ExperimentConfig, "experiment", "grid", "flow", "gibbs", "master_seed", "threads"
+    ),
+    **{name: set(DEFAULTS[name][name]) for name in ("sample", "simulate", "control")},
+}
+_TOP_KEYS = set(_SECTION_KEYS) | {"seed", "threads"}
+
+# --set overrides that shrink each experiment to smoke scale, in the order
+# selftest runs them; `scripts/run_experiments.py --quick` uses the same table.
+# Floats are written as floats so the report echo keeps the defaults' types.
+# Short averaging windows need loose tolerances: time-average noise decays
+# like T^{-1/2}.
+SMOKE: dict[str, list[str]] = {
+    "invariance": ["experiment.ensemble_size=256", "experiment.ess_floor=50.0", "flow.T=0.5"],
+    "ergodicity": [
+        "flow.T=400.0",
+        "flow.h=0.02",
+        "experiment.ensemble_size=4096",
+        "experiment.ess_floor=64.0",
+        "experiment.rel_tolerance=0.25",
+    ],
+    "linear": [],
+    "decay": ["experiment.ensemble_size=32"],
+    "nstability": [],
+    "coupling": ["flow.T=10.0", "experiment.envelope_horizon=2.0"],
+}
 
 
 def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
@@ -222,7 +186,6 @@ def load_config(subcommand: str, path: str | None, overrides: list[str], seed=No
     cfg = json.loads(json.dumps(DEFAULTS[subcommand]))  # deep copy
     # the default s is filled in after the user's keys, because it follows d
     default_s = cfg["grid"].pop("s") if "grid" in cfg else None
-    threads_configured = False
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -233,7 +196,6 @@ def load_config(subcommand: str, path: str | None, overrides: list[str], seed=No
             raise ConfigError(f"config file is not valid JSON: {e}") from e
         if not isinstance(user, dict):
             raise ConfigError("configuration root must be a JSON object")
-        threads_configured = "threads" in user
         for key, value in user.items():
             if isinstance(value, dict) and isinstance(cfg.get(key), dict):
                 cfg[key].update(value)
@@ -241,8 +203,6 @@ def load_config(subcommand: str, path: str | None, overrides: list[str], seed=No
                 cfg[key] = value
     for item in overrides:
         _apply_override(cfg, item)
-        if item.split("=", 1)[0].strip() == "threads":
-            threads_configured = True
     grid = cfg.get("grid")
     if default_s is not None and isinstance(grid, dict) and "s" not in grid:
         # s must exceed d: the beam equation's s = 4 when d > 1 is asked for
@@ -252,9 +212,10 @@ def load_config(subcommand: str, path: str | None, overrides: list[str], seed=No
         cfg["seed"] = seed
     if threads is not None:
         cfg["threads"] = threads
-    elif not threads_configured and os.environ.get("GIBBSDYN_THREADS"):
+    cfg.setdefault("seed", ExperimentConfig.master_seed)
+    if "threads" not in cfg:
         try:
-            cfg["threads"] = int(os.environ["GIBBSDYN_THREADS"])
+            cfg["threads"] = int(os.environ.get("GIBBSDYN_THREADS") or 1)
         except ValueError as e:
             raise ConfigError(f"GIBBSDYN_THREADS is not an integer: {e}") from e
     _validate_config(cfg)
@@ -644,31 +605,9 @@ def _cmd_control(cfg: dict, out: Path) -> int:
 
 def _cmd_selftest(cfg: dict, out: Path) -> int:
     """Quick composed run of every experiment at smoke scale."""
-    seed = cfg["seed"]
-    threads = cfg["threads"]
     codes = []
-    for name in _EXPERIMENT_SUBCOMMANDS:
-        sub = json.loads(json.dumps(DEFAULTS[name]))
-        sub["seed"] = seed
-        sub["threads"] = threads
-        # shrink the slow ones to smoke scale (short averaging windows need
-        # loose tolerances: time-average noise decays like T^{-1/2})
-        if name == "ergodicity":
-            sub["flow"]["T"] = 400.0
-            sub["flow"]["h"] = 0.02
-            sub["experiment"]["ensemble_size"] = 4096
-            sub["experiment"]["ess_floor"] = 64.0
-            sub["experiment"]["rel_tolerance"] = 0.25
-        if name == "invariance":
-            sub["experiment"]["ensemble_size"] = 256
-            sub["experiment"]["ess_floor"] = 50.0
-            sub["flow"]["T"] = 0.5
-        if name == "decay":
-            sub["experiment"]["ensemble_size"] = 32
-        if name == "coupling":
-            sub["flow"]["T"] = 10.0
-            sub["experiment"]["envelope_horizon"] = 2.0
-        _validate_config(sub)
+    for name, overrides in SMOKE.items():
+        sub = load_config(name, None, overrides, cfg["seed"], cfg["threads"])
         report = run_experiment(build_experiment_config(name, sub))
         _write_report(report, out, f"selftest_{name}")
         print(f"[{name}]")
@@ -744,7 +683,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 64
-    except (NumericalError, PicardDivergenceError, EnsembleBlowupError, np.linalg.LinAlgError) as e:
+    except (NumericalError, EnsembleBlowupError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 70
 

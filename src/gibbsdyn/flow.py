@@ -14,9 +14,6 @@ The remainder decomposition co-evolves the linear solution on the identical
 increments; outside the nonlinearity's cube the two solutions run through
 bit-identical arithmetic, so their difference v is supported exactly on the
 cube at all times.
-
-A Picard fixed-point solver for the remainder integral equation doubles as an
-independent oracle for the splitting scheme.
 """
 
 from __future__ import annotations
@@ -28,13 +25,11 @@ import numpy as np
 
 from .linear_dynamics import (
     NoisePath,
-    PropagatorTable,
     build_table,
     draw_increments,
     increments_to_states,
     pair_to_state,
     propagate_states,
-    propagator,
     propagator_columns,
     state_to_pair,
 )
@@ -49,18 +44,9 @@ from .spectral import (
     dealiased_cube_coeffs,
     holder_norm,
     quartic_integral_coeffs,
-    sobolev_pair_norm,
 )
 
 ENERGY_CEILING = 1e12
-
-
-class PicardDivergenceError(RuntimeError):
-    """Fixed-point iteration expanded instead of contracting."""
-
-    def __init__(self, message: str, ratio: float):
-        super().__init__(message)
-        self.ratio = ratio
 
 
 @dataclass(frozen=True)
@@ -127,7 +113,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# kick and step
+# kick and stepper
 # ---------------------------------------------------------------------------
 
 
@@ -148,18 +134,11 @@ def kick_states(cfg: FlowConfig, states: np.ndarray, h: float) -> None:
     p_cube -= (h * cfg.gamma) * dealiased_cube_coeffs(grid, u, cfg.N)[cube]
 
 
-def nonlinear_kick(v: PairField, h: float, cfg: FlowConfig) -> PairField:
-    """The kick applied to a single pair field (u unchanged, p sheared)."""
-    state = pair_to_state(v).copy()
-    kick_states(cfg, state, h)
-    return state_to_pair(cfg.grid, state)
-
-
 class Stepper:
     """The splitting step for one (grid, N, gamma, h), its tables built once.
 
-    `step`, `evolve` and `evolve_ensemble` all advance states with `run`, so
-    one sequence of operations defines the scheme: propagate and add the first
+    `evolve` and `evolve_ensemble` both advance states with `run`, so one
+    sequence of operations defines the scheme: propagate and add the first
     half-step increment, kick, propagate and add the second.  The half-step
     propagator is held in the layout `propagate_states` reads fastest.  Arrays
     are allocated per call, so one stepper can serve several threads.
@@ -202,18 +181,6 @@ class Stepper:
                     if k in visit_steps and visit(k, layers):
                         return layers
         return layers
-
-
-def step(
-    state: PairField, table: PropagatorTable, cfg: FlowConfig, gen: np.random.Generator
-) -> tuple[PairField, np.ndarray]:
-    """One splitting step; returns the new state and the two recorded
-    half-step increments, shape (2, n_half, 2)."""
-    if abs(table.h - cfg.h / 2) > 1e-12 * cfg.h:
-        raise ValueError("table must be built at half the flow step")
-    eta = draw_increments(table, gen, 2)
-    layers = Stepper(cfg).run(pair_to_state(state)[None, None], [eta[None]])
-    return state_to_pair(cfg.grid, layers[0, 0]), eta
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +239,8 @@ def evolve(
     the linear solution from u0 is co-evolved on the identical increments, so
     state - linear_state realizes the remainder with v(0) = initial_remainder.
     A noise_path (at half-step spacing) replays recorded increments instead of
-    drawing fresh ones.  Blowup (non-finite coefficients or energy beyond
-    1e12) truncates the trajectory and sets blowup_time.
+    drawing fresh ones.  Blowup (non-finite coefficients, or an energy that is
+    NaN or beyond 1e12) truncates the trajectory and sets blowup_time.
     """
     grid = cfg.grid
     stepper = Stepper(cfg)
@@ -334,7 +301,8 @@ def evolve(
                 e = float(energy_states(grid, probe)[0])
         if record:
             energies.append(e)
-        if not finite or e > ENERGY_CEILING:
+        # a finite remainder can still overflow to a NaN energy
+        if not finite or not e <= ENERGY_CEILING:
             blowup_time = t
             return True
         return False
@@ -454,121 +422,6 @@ def evolve_ensemble(
         for lo, hi in chunks:
             run_chunk(lo, hi)
     return sample_times, series, finals
-
-
-# ---------------------------------------------------------------------------
-# Picard oracle
-# ---------------------------------------------------------------------------
-
-
-def _picard_window(
-    grid: GridSpec,
-    cfg: FlowConfig,
-    v0: np.ndarray,
-    z_states: np.ndarray,
-    h: float,
-    max_iter: int = 80,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Fixed point of v(t) = S(t) v0 - int_0^t S(t-t') G(z+v)(t') dt' on one
-    window, trapezoidal quadrature on the step grid; returns (K+1, 2, n_modes)."""
-    K = z_states.shape[0] - 1
-    S = propagator(grid, h)
-    hom = np.empty((K + 1, 2, grid.n_modes), dtype=complex)
-    hom[0] = v0
-    for k in range(1, K + 1):
-        hom[k] = propagate_states(S, hom[k - 1])
-
-    def forcing(states: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(states)
-        if cfg.gamma == 0.0 or cfg.N < 0:
-            return out
-        coeffs = states[:, 0, :].reshape((K + 1,) + grid.mode_shape)
-        cube = dealiased_cube_coeffs(grid, coeffs, cfg.N)
-        out[:, 1, :] = cfg.gamma * cube.reshape(K + 1, grid.n_modes)
-        return out
-
-    v = np.zeros_like(hom)
-    prev_delta = None
-    ratio = np.nan
-    for _ in range(max_iter):
-        G = forcing(z_states + v)
-        integral = np.zeros_like(v)
-        for k in range(1, K + 1):
-            integral[k] = propagate_states(S, integral[k - 1]) + (h / 2) * (
-                propagate_states(S, G[k - 1]) + G[k]
-            )
-        v_new = hom - integral
-        delta = max(
-            sobolev_pair_norm(state_to_pair(grid, v_new[k] - v[k]), grid.s / 2)
-            for k in range(K + 1)
-        )
-        v = v_new
-        if delta < tol:
-            return v
-        if prev_delta is not None and prev_delta > 0:
-            ratio = delta / prev_delta
-            if ratio > 1.0 and delta > 1e-6:
-                raise PicardDivergenceError(
-                    f"no contraction on window of {K} steps "
-                    f"(expansion ratio {ratio:.3f})",
-                    ratio,
-                )
-        prev_delta = delta
-    raise PicardDivergenceError(
-        f"no convergence after {max_iter} sweeps (last ratio {ratio:.3f})", ratio
-    )
-
-
-def picard_solve(
-    v0: PairField | None,
-    linear_path: list[PairField] | np.ndarray,
-    cfg: FlowConfig,
-    T_loc: float | None = None,
-) -> list[PairField]:
-    """Solve the remainder integral equation along a realized linear path.
-
-    linear_path holds z(t_k) on the step grid t_k = k*h, k = 0..K (as pair
-    fields or a (K+1, 2, n_modes) block).  Returns v on the same grid with
-    v(0) = v0 (zero when None).  The window [0, T_loc] (default: the whole
-    path) is covered by fixed-point iteration, halving the window and
-    restarting from the reached state whenever the iteration fails to
-    contract.
-    """
-    grid = cfg.grid
-    if isinstance(linear_path, np.ndarray):
-        z_states = linear_path.astype(complex)
-    else:
-        z_states = np.stack([pair_to_state(p) for p in linear_path])
-    K_total = z_states.shape[0] - 1
-    if T_loc is not None:
-        K_total = round(T_loc / cfg.h)
-        if K_total >= z_states.shape[0]:
-            raise ValueError("linear path shorter than requested horizon")
-        z_states = z_states[: K_total + 1]
-    v_cur = (
-        np.zeros((2, grid.n_modes), dtype=complex)
-        if v0 is None
-        else pair_to_state(v0).astype(complex)
-    )
-    out = np.empty((K_total + 1, 2, grid.n_modes), dtype=complex)
-    out[0] = v_cur
-    done = 0
-    window = K_total
-    while done < K_total:
-        w = min(window, K_total - done)
-        try:
-            seg = _picard_window(
-                grid, cfg, out[done], z_states[done : done + w + 1], cfg.h
-            )
-        except PicardDivergenceError:
-            if w == 1:
-                raise
-            window = max(1, w // 2)
-            continue
-        out[done + 1 : done + w + 1] = seg[1:]
-        done += w
-    return [state_to_pair(grid, out[k]) for k in range(K_total + 1)]
 
 
 # ---------------------------------------------------------------------------

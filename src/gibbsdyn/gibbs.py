@@ -15,7 +15,6 @@ measure as proposal.  They serve as mutual oracles.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +30,6 @@ from .spectral import (
     quartic_integral_coeffs,
 )
 from .linear_dynamics import increments_to_states, state_to_pair
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -196,38 +193,3 @@ def sample_rho(
                 kept += 1
         return WeightedEnsemble(cfg.grid, out, np.zeros(count))
     raise ValueError(f"unknown method {method!r}")
-
-
-def sample_rho_rejection(
-    cfg: GibbsConfig,
-    count: int,
-    gen: np.random.Generator,
-    max_batches: int = 1000,
-) -> WeightedEnsemble:
-    """Exact rejection sampler (accept with probability exp(-interaction)).
-
-    Only practical when the mean acceptance is not tiny; the pilot estimate
-    is logged before the main loop.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    pilot = sample_mu_states(cfg.grid, gen, 256)
-    acc = float(np.mean(np.exp(-interaction_states(pilot, cfg))))
-    logger.info("rejection sampler: estimated acceptance %.4f", acc)
-    batch = max(count, int(count / max(acc, 1e-6)))
-    batch = min(batch, 10**6)
-    chunks: list[np.ndarray] = []
-    have = 0
-    for _ in range(max_batches):
-        states = sample_mu_states(cfg.grid, gen, batch)
-        keep = gen.random(batch) < np.exp(-interaction_states(states, cfg))
-        chunks.append(states[keep])
-        have += int(keep.sum())
-        if have >= count:
-            break
-    if have < count:
-        raise RuntimeError(
-            f"rejection sampler got {have}/{count} accepts in {max_batches} batches"
-        )
-    states = np.concatenate(chunks)[:count]
-    return WeightedEnsemble(cfg.grid, states, np.zeros(count))

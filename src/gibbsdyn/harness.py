@@ -615,8 +615,13 @@ def _scaled_to_energy(grid: GridSpec, target: float) -> PairField:
         hi *= 2
         if hi > 1e9:
             raise ValueError("target energy out of reach")
+    # stop once the midpoint no longer moves, after about 60 steps; the cap
+    # binds only for a target <= 0, where lo stays at 0 and hi halves toward
+    # the smallest subnormal
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if energy(_scale_pair(base, mid)) < target:
             lo = mid
         else:

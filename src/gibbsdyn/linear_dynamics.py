@@ -4,9 +4,9 @@ Each Fourier mode of (u, u_t) evolves independently under the 2x2 system
 dv = A_n v dt + sqrt(2) e_2 dW,  A_n = [[0, 1], [-(1+|n|^s), -1]],
 whose propagator exp(t A_n) is available in closed trigonometric form.  This
 module provides batched propagator tables, the exact Ornstein--Uhlenbeck
-transition step (no time-discretization error in the linear part), sampling
-of the stochastic convolution, its two-time covariance by quadrature, and a
-decay-weighted sup norm built on the propagator.
+transition increments (no time-discretization error in the linear part),
+sampling of the stochastic convolution, and a decay-weighted sup norm built
+on the propagator.
 
 Complex modes carry independent real and imaginary parts, each an identical
 copy of the real 2D system with half the noise intensity; the zero mode is
@@ -28,7 +28,6 @@ from .spectral import (
     half_lattice,
     holder_batch_rows,
     holder_norm_states,
-    mode_tuples,
     omega2,
 )
 
@@ -38,16 +37,6 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 def lam(grid: GridSpec) -> np.ndarray:
     """Per-mode oscillation rate sqrt(3/4 + |n|^s), flat layout."""
     return np.sqrt(0.75 + (omega2(grid).reshape(-1) - 1.0))
-
-
-def generator_matrices(grid: GridSpec) -> np.ndarray:
-    """Per-mode drift matrices A_n = [[0,1],[-omega_n^2,-1]], shape (n_modes,2,2)."""
-    w2 = omega2(grid).reshape(-1)
-    A = np.zeros((grid.n_modes, 2, 2))
-    A[:, 0, 1] = 1.0
-    A[:, 1, 0] = -w2
-    A[:, 1, 1] = -1.0
-    return A
 
 
 def propagator(grid: GridSpec, t: float) -> np.ndarray:
@@ -70,18 +59,6 @@ def propagator(grid: GridSpec, t: float) -> np.ndarray:
     return out
 
 
-def mode_matrix(n: tuple[int, ...] | int, t: float, grid: GridSpec) -> np.ndarray:
-    """Single-mode propagator exp(t A_n) as a plain 2x2 array."""
-    if isinstance(n, int):
-        n = (n,)
-    if len(n) != grid.d:
-        raise ValueError(f"mode {n} has wrong dimension for d={grid.d}")
-    l = float(np.sqrt(0.75 + float(np.sum(np.asarray(n, dtype=float) ** 2)) ** (grid.s / 2)))
-    c, s = np.cos(t * l), np.sin(t * l)
-    m = np.array([[c + s / (2 * l), s / l], [-(l + 1.0 / (4 * l)) * s, c - s / (2 * l)]])
-    return np.exp(-t / 2) * m
-
-
 def stationary_covariance(grid: GridSpec) -> np.ndarray:
     """Per-mode stationary covariance diag(1/omega_n^2, 1), shape (n_modes,2,2)."""
     w2 = omega2(grid).reshape(-1)
@@ -97,18 +74,6 @@ def step_covariance(grid: GridSpec, h: float) -> np.ndarray:
     C = stationary_covariance(grid)
     Q = C - S @ C @ np.swapaxes(S, 1, 2)
     return 0.5 * (Q + np.swapaxes(Q, 1, 2))
-
-
-def apply_propagator(v: PairField, t: float) -> PairField:
-    """Propagate a pair field by the linear flow for time t."""
-    grid = v.grid
-    S = propagator(grid, t)
-    state = np.stack([v.u.coeffs.reshape(-1), v.p.coeffs.reshape(-1)])
-    out = np.einsum("mij,jm->im", S, state)
-    return PairField(
-        SpectralField(grid, out[0].reshape(grid.mode_shape)),
-        SpectralField(grid, out[1].reshape(grid.mode_shape)),
-    )
 
 
 def propagate_states(S: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -244,21 +209,6 @@ def state_to_pair(grid: GridSpec, state: np.ndarray) -> PairField:
     )
 
 
-def exact_ou_step(
-    v: PairField, table: PropagatorTable, gen: np.random.Generator
-) -> tuple[PairField, np.ndarray]:
-    """One exact transition of the linear stochastic system.
-
-    Returns the new state and the sampled half-lattice increments (n_half, 2),
-    recorded exactly as added so a replay reproduces the trajectory.
-    """
-    eta = draw_increments(table, gen, 1)[0]
-    state = propagate_states(table.S, pair_to_state(v)) + increments_to_states(
-        table.grid, eta
-    )
-    return state_to_pair(table.grid, state), eta
-
-
 # ---------------------------------------------------------------------------
 # recorded noise
 # ---------------------------------------------------------------------------
@@ -327,50 +277,6 @@ def sample_stick(
             table.grid, eta[i]
         )
     return state_to_pair(table.grid, state), NoisePath(table.grid, table.h, eta)
-
-
-def stick_covariance(t: float, s: float, f: PairField) -> float:
-    """Two-time covariance E <z_t, f><z_s, f> of the stochastic convolution.
-
-    Evaluates 2 * integral_0^{t^s} sum_n c_n Re[(S(t-u)^T f_n)_2 conj(
-    (S(s-u)^T f_n)_2)] du per mode by composite Simpson quadrature, refined
-    until the relative change drops below 1e-8 (c_n = 1 for the zero mode,
-    2 for each half-lattice representative).
-    """
-    if t < 0 or s < 0:
-        raise ValueError("times must be nonnegative")
-    upper = min(t, s)
-    if upper == 0:
-        return 0.0
-    grid = f.grid
-    half = half_lattice(grid)
-    fu = f.u.coeffs.reshape(-1)[half]
-    fp = f.p.coeffs.reshape(-1)[half]
-    weights = np.full(half.size, 2.0)
-    weights[0] = 1.0
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        vals = np.empty_like(u)
-        for i, ui in enumerate(u):
-            St = propagator(grid, t - ui)[half]
-            Ss = propagator(grid, s - ui)[half]
-            g = St[:, 0, 1] * fu + St[:, 1, 1] * fp  # (S^T f)_2
-            hh = Ss[:, 0, 1] * fu + Ss[:, 1, 1] * fp
-            vals[i] = float(np.sum(weights * (g * np.conj(hh)).real))
-        return vals
-
-    n = 8
-    prev = None
-    for _ in range(20):
-        x = np.linspace(0.0, upper, n + 1)
-        y = integrand(x)
-        hstep = upper / n
-        val = 2.0 * hstep / 3.0 * float(y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-2:2].sum())
-        if prev is not None and abs(val - prev) <= 1e-8 * max(1.0, abs(val)):
-            return val
-        prev = val
-        n *= 2
-    return val
 
 
 def xalpha_norm(

@@ -16,15 +16,25 @@ batched its sample-time work: observables called once per sample time,
 remainder energies recomputed state by state, and the decay-weighted norm
 taking one Hoelder norm per propagated state.  The batched forms perform the
 same floating-point operations per row, so they agree bit for bit.
+
+The last section holds the reference solvers and samplers only tests call,
+built on the library's kernel: a Picard fixed-point solver for the remainder
+integral equation, a single splitting step and kick on pair fields, the
+single-mode generator and propagator, one exact OU transition, the
+stochastic convolution's two-time covariance by quadrature, a rejection
+sampler for the quartic measure, and the coupling experiment's initial
+remainder found by a fixed 200 bisection steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gibbsdyn.flow import EnergyReport, Stepper, Trajectory, default_thin, energy
-from gibbsdyn.linear_dynamics import draw_increments as draw_increments_lib
-from gibbsdyn.linear_dynamics import pair_to_state, propagator, state_to_pair
+from gibbsdyn import flow, linear_dynamics, spectral
+from gibbsdyn.flow import EnergyReport, FlowConfig, Stepper, Trajectory, default_thin, energy
+from gibbsdyn.gibbs import GibbsConfig, WeightedEnsemble, interaction_states, sample_mu_states
+from gibbsdyn.harness import _scale_pair
+from gibbsdyn.linear_dynamics import PropagatorTable, pair_to_state, propagator, state_to_pair
 from gibbsdyn.spectral import (
     TWO_PI,
     GridSpec,
@@ -32,9 +42,13 @@ from gibbsdyn.spectral import (
     SpectralField,
     bracket2,
     cube_mask,
+    flat_index,
     half_lattice,
     mirror_of_half,
     occupied_band,
+    omega2,
+    sobolev_pair_norm,
+    zero_pair,
 )
 from scipy.fft import next_fast_len
 
@@ -214,10 +228,301 @@ def ensemble_series(cfg, initial_states, generators, observables, sample_every=N
         for name, fn in observables.items():
             series[name][i] = fn(grid, states)
 
-    draws = np.stack([draw_increments_lib(stepper.table, gen, 2 * n_steps) for gen in generators])
+    draws = np.stack([linear_dynamics.draw_increments(stepper.table, gen, 2 * n_steps) for gen in generators])
     observe(0, initial_states)
     layers = stepper.run(
         initial_states[None], [draws], index, lambda k, layers: observe(index[k], layers[0])
     )
     times = np.array([0.0] + [k * cfg.h for k in steps])
     return times, series, layers[0]
+
+
+# ---------------------------------------------------------------------------
+# reference solvers and samplers
+# ---------------------------------------------------------------------------
+
+
+class PicardDivergenceError(RuntimeError):
+    """Fixed-point iteration expanded instead of contracting."""
+
+    def __init__(self, message: str, ratio: float):
+        super().__init__(message)
+        self.ratio = ratio
+
+
+def _picard_window(
+    grid: GridSpec,
+    cfg: FlowConfig,
+    v0: np.ndarray,
+    z_states: np.ndarray,
+    h: float,
+    max_iter: int = 80,
+    tol: float = 1e-10,
+) -> np.ndarray:
+    """Fixed point of v(t) = S(t) v0 - int_0^t S(t-t') G(z+v)(t') dt' on one
+    window, trapezoidal quadrature on the step grid; returns (K+1, 2, n_modes)."""
+    K = z_states.shape[0] - 1
+    S = propagator(grid, h)
+    propagate = linear_dynamics.propagate_states
+    hom = np.empty((K + 1, 2, grid.n_modes), dtype=complex)
+    hom[0] = v0
+    for k in range(1, K + 1):
+        hom[k] = propagate(S, hom[k - 1])
+
+    def forcing(states: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(states)
+        if cfg.gamma == 0.0 or cfg.N < 0:
+            return out
+        coeffs = states[:, 0, :].reshape((K + 1,) + grid.mode_shape)
+        cube = spectral.dealiased_cube_coeffs(grid, coeffs, cfg.N)
+        out[:, 1, :] = cfg.gamma * cube.reshape(K + 1, grid.n_modes)
+        return out
+
+    v = np.zeros_like(hom)
+    prev_delta = None
+    ratio = np.nan
+    for _ in range(max_iter):
+        G = forcing(z_states + v)
+        integral = np.zeros_like(v)
+        for k in range(1, K + 1):
+            integral[k] = propagate(S, integral[k - 1]) + (h / 2) * (
+                propagate(S, G[k - 1]) + G[k]
+            )
+        v_new = hom - integral
+        delta = max(
+            sobolev_pair_norm(state_to_pair(grid, v_new[k] - v[k]), grid.s / 2)
+            for k in range(K + 1)
+        )
+        v = v_new
+        if delta < tol:
+            return v
+        if prev_delta is not None and prev_delta > 0:
+            ratio = delta / prev_delta
+            if ratio > 1.0 and delta > 1e-6:
+                raise PicardDivergenceError(
+                    f"no contraction on window of {K} steps "
+                    f"(expansion ratio {ratio:.3f})",
+                    ratio,
+                )
+        prev_delta = delta
+    raise PicardDivergenceError(
+        f"no convergence after {max_iter} sweeps (last ratio {ratio:.3f})", ratio
+    )
+
+
+def picard_solve(
+    v0: PairField | None,
+    linear_path: list[PairField] | np.ndarray,
+    cfg: FlowConfig,
+    T_loc: float | None = None,
+) -> list[PairField]:
+    """Solve the remainder integral equation along a realized linear path.
+
+    linear_path holds z(t_k) on the step grid t_k = k*h, k = 0..K (as pair
+    fields or a (K+1, 2, n_modes) block).  Returns v on the same grid with
+    v(0) = v0 (zero when None).  The window [0, T_loc] (default: the whole
+    path) is covered by fixed-point iteration, halving the window and
+    restarting from the reached state whenever the iteration fails to
+    contract.
+    """
+    grid = cfg.grid
+    if isinstance(linear_path, np.ndarray):
+        z_states = linear_path.astype(complex)
+    else:
+        z_states = np.stack([pair_to_state(p) for p in linear_path])
+    K_total = z_states.shape[0] - 1
+    if T_loc is not None:
+        K_total = round(T_loc / cfg.h)
+        if K_total >= z_states.shape[0]:
+            raise ValueError("linear path shorter than requested horizon")
+        z_states = z_states[: K_total + 1]
+    v_cur = (
+        np.zeros((2, grid.n_modes), dtype=complex)
+        if v0 is None
+        else pair_to_state(v0).astype(complex)
+    )
+    out = np.empty((K_total + 1, 2, grid.n_modes), dtype=complex)
+    out[0] = v_cur
+    done = 0
+    window = K_total
+    while done < K_total:
+        w = min(window, K_total - done)
+        try:
+            seg = _picard_window(
+                grid, cfg, out[done], z_states[done : done + w + 1], cfg.h
+            )
+        except PicardDivergenceError:
+            if w == 1:
+                raise
+            window = max(1, w // 2)
+            continue
+        out[done + 1 : done + w + 1] = seg[1:]
+        done += w
+    return [state_to_pair(grid, out[k]) for k in range(K_total + 1)]
+
+
+def nonlinear_kick(v: PairField, h: float, cfg: FlowConfig) -> PairField:
+    """The kick applied to a single pair field (u unchanged, p sheared)."""
+    state = pair_to_state(v).copy()
+    flow.kick_states(cfg, state, h)
+    return state_to_pair(cfg.grid, state)
+
+
+def step(
+    state: PairField, table: PropagatorTable, cfg: FlowConfig, gen: np.random.Generator
+) -> tuple[PairField, np.ndarray]:
+    """One splitting step; returns the new state and the two recorded
+    half-step increments, shape (2, n_half, 2)."""
+    if abs(table.h - cfg.h / 2) > 1e-12 * cfg.h:
+        raise ValueError("table must be built at half the flow step")
+    eta = linear_dynamics.draw_increments(table, gen, 2)
+    layers = Stepper(cfg).run(pair_to_state(state)[None, None], [eta[None]])
+    return state_to_pair(cfg.grid, layers[0, 0]), eta
+
+
+def generator_matrices(grid: GridSpec) -> np.ndarray:
+    """Per-mode drift matrices A_n = [[0,1],[-omega_n^2,-1]], shape (n_modes,2,2)."""
+    w2 = omega2(grid).reshape(-1)
+    A = np.zeros((grid.n_modes, 2, 2))
+    A[:, 0, 1] = 1.0
+    A[:, 1, 0] = -w2
+    A[:, 1, 1] = -1.0
+    return A
+
+
+def mode_matrix(n: tuple[int, ...] | int, t: float, grid: GridSpec) -> np.ndarray:
+    """Single-mode propagator exp(t A_n) as a plain 2x2 array."""
+    if isinstance(n, int):
+        n = (n,)
+    if len(n) != grid.d:
+        raise ValueError(f"mode {n} has wrong dimension for d={grid.d}")
+    l = float(np.sqrt(0.75 + float(np.sum(np.asarray(n, dtype=float) ** 2)) ** (grid.s / 2)))
+    c, s = np.cos(t * l), np.sin(t * l)
+    m = np.array([[c + s / (2 * l), s / l], [-(l + 1.0 / (4 * l)) * s, c - s / (2 * l)]])
+    return np.exp(-t / 2) * m
+
+
+def apply_propagator(v: PairField, t: float) -> PairField:
+    """Propagate a pair field by the linear flow for time t."""
+    grid = v.grid
+    S = propagator(grid, t)
+    state = np.stack([v.u.coeffs.reshape(-1), v.p.coeffs.reshape(-1)])
+    out = np.einsum("mij,jm->im", S, state)
+    return PairField(
+        SpectralField(grid, out[0].reshape(grid.mode_shape)),
+        SpectralField(grid, out[1].reshape(grid.mode_shape)),
+    )
+
+
+def exact_ou_step(
+    v: PairField, table: PropagatorTable, gen: np.random.Generator
+) -> tuple[PairField, np.ndarray]:
+    """One exact transition of the linear stochastic system.
+
+    Returns the new state and the sampled half-lattice increments (n_half, 2),
+    recorded exactly as added so a replay reproduces the trajectory.
+    """
+    eta = linear_dynamics.draw_increments(table, gen, 1)[0]
+    state = linear_dynamics.propagate_states(table.S, pair_to_state(v))
+    state = state + linear_dynamics.increments_to_states(table.grid, eta)
+    return state_to_pair(table.grid, state), eta
+
+
+def stick_covariance(t: float, s: float, f: PairField) -> float:
+    """Two-time covariance E <z_t, f><z_s, f> of the stochastic convolution.
+
+    Evaluates 2 * integral_0^{t^s} sum_n c_n Re[(S(t-u)^T f_n)_2 conj(
+    (S(s-u)^T f_n)_2)] du per mode by composite Simpson quadrature, refined
+    until the relative change drops below 1e-8 (c_n = 1 for the zero mode,
+    2 for each half-lattice representative).
+    """
+    if t < 0 or s < 0:
+        raise ValueError("times must be nonnegative")
+    upper = min(t, s)
+    if upper == 0:
+        return 0.0
+    grid = f.grid
+    half = half_lattice(grid)
+    fu = f.u.coeffs.reshape(-1)[half]
+    fp = f.p.coeffs.reshape(-1)[half]
+    weights = np.full(half.size, 2.0)
+    weights[0] = 1.0
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        vals = np.empty_like(u)
+        for i, ui in enumerate(u):
+            St = propagator(grid, t - ui)[half]
+            Ss = propagator(grid, s - ui)[half]
+            g = St[:, 0, 1] * fu + St[:, 1, 1] * fp  # (S^T f)_2
+            hh = Ss[:, 0, 1] * fu + Ss[:, 1, 1] * fp
+            vals[i] = float(np.sum(weights * (g * np.conj(hh)).real))
+        return vals
+
+    n = 8
+    prev = None
+    for _ in range(20):
+        x = np.linspace(0.0, upper, n + 1)
+        y = integrand(x)
+        hstep = upper / n
+        val = 2.0 * hstep / 3.0 * float(y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-2:2].sum())
+        if prev is not None and abs(val - prev) <= 1e-8 * max(1.0, abs(val)):
+            return val
+        prev = val
+        n *= 2
+    return val
+
+
+def sample_rho_rejection(
+    cfg: GibbsConfig,
+    count: int,
+    gen: np.random.Generator,
+    max_batches: int = 1000,
+) -> WeightedEnsemble:
+    """Exact rejection sampler (accept with probability exp(-interaction)).
+
+    Only practical when the mean acceptance is not tiny; a pilot batch
+    estimates it to size the main batches.
+    """
+    if count < 1:
+        raise ValueError("count must be positive")
+    pilot = sample_mu_states(cfg.grid, gen, 256)
+    acc = float(np.mean(np.exp(-interaction_states(pilot, cfg))))
+    batch = max(count, int(count / max(acc, 1e-6)))
+    batch = min(batch, 10**6)
+    chunks: list[np.ndarray] = []
+    have = 0
+    for _ in range(max_batches):
+        states = sample_mu_states(cfg.grid, gen, batch)
+        keep = gen.random(batch) < np.exp(-interaction_states(states, cfg))
+        chunks.append(states[keep])
+        have += int(keep.sum())
+        if have >= count:
+            break
+    if have < count:
+        raise RuntimeError(
+            f"rejection sampler got {have}/{count} accepts in {max_batches} batches"
+        )
+    states = np.concatenate(chunks)[:count]
+    return WeightedEnsemble(cfg.grid, states, np.zeros(count))
+
+
+def scaled_to_energy(grid: GridSpec, target: float) -> PairField:
+    """harness._scaled_to_energy with a fixed 200 bisection steps."""
+    base = zero_pair(grid)
+    tup = (1,) + (0,) * (grid.d - 1)
+    shaped = base.u.coeffs
+    shaped.reshape(-1)[flat_index(grid, tup)] = 0.5
+    shaped.reshape(-1)[flat_index(grid, tuple(-c for c in tup))] = 0.5
+
+    lo, hi = 0.0, 1.0
+    while energy(_scale_pair(base, hi)) < target:
+        hi *= 2
+        if hi > 1e9:
+            raise ValueError("target energy out of reach")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if energy(_scale_pair(base, mid)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return _scale_pair(base, 0.5 * (lo + hi))

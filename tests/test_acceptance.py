@@ -20,7 +20,7 @@ from gibbsdyn.control import (
     gram_form,
     right_inverse,
 )
-from gibbsdyn.flow import FlowConfig, evolve, picard_solve
+from gibbsdyn.flow import FlowConfig, evolve
 from gibbsdyn.gibbs import GibbsConfig, sample_mu_states
 from gibbsdyn.harness import ExperimentConfig, report_to_json, run_experiment
 from gibbsdyn.linear_dynamics import (
@@ -43,6 +43,7 @@ from gibbsdyn.spectral import (
     sobolev_pair_norm,
     zero_pair,
 )
+from oracles import picard_solve
 
 from dataclasses import replace
 

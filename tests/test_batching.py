@@ -138,6 +138,21 @@ def test_energy_report_matches_per_state_loop_at_blowup(gamma, thin, finite):
     assert_reports_equal(energy_monitor(traj, 0.4), oracles.energy_report(traj, 0.4))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_finite_remainder_with_nan_energy_is_a_blowup():
+    # at t = 0.2 the remainder is still finite, but its energy overflows to
+    # NaN (an infinite |u|^2 times the zero mode's zero |n|^s weight)
+    grid = GRIDS[1]
+    cfg = FlowConfig(grid, 4, 1.0, 0.05, 3.0, record_noise=True)
+    big = zero_pair(grid)
+    big.u.coeffs[flat_index(grid, (0,))] = 3e4
+    traj = evolve(zero_pair(grid), cfg, np.random.default_rng(3), initial_remainder=big, thin_every=4)
+    assert traj.blowup_time == 0.2
+    assert np.isfinite(pair_to_state(traj.v_states()[-1])).all()
+    assert np.isnan(traj.energies[-1])
+
+
 def test_unrecorded_trajectory_has_no_energies():
     cfg = FlowConfig(GRIDS[1], 4, 1.0, 0.05, 0.5)
     traj = evolve(zero_pair(cfg.grid), cfg, np.random.default_rng(1))

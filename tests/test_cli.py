@@ -1,13 +1,26 @@
 """Command-line behavior: config resolution, exit codes, artifacts."""
 
 import csv
+import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gibbsdyn.cli import DEFAULTS, ConfigError, _apply_override, load_config, main
+from gibbsdyn.cli import (
+    DEFAULTS,
+    ConfigError,
+    _apply_override,
+    build_experiment_config,
+    load_config,
+    main,
+)
 from gibbsdyn.container import load_ensemble, load_noise
+from gibbsdyn.flow import FlowConfig
+from gibbsdyn.gibbs import GibbsConfig
+from gibbsdyn.harness import ExperimentConfig
 from gibbsdyn.spectral import GridSpec, omega2
 
 
@@ -34,12 +47,37 @@ def test_unknown_top_level_key_exits_64(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_unknown_section_key_exits_64(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "section", ["grid", "flow", "gibbs", "experiment", "sample", "simulate", "control"]
+)
+def test_unknown_section_key_exits_64(tmp_path, capsys, section):
+    # each section is checked on a subcommand whose defaults have it
+    subcommand = section if section in ("sample", "simulate", "control") else "invariance"
     cfg = tmp_path / "c.json"
-    cfg.write_text('{"grid": {"d": 1, "M": 18, "wavenumber": 7}}')
-    rc = run(tmp_path, "invariance", "--config", str(cfg))
+    cfg.write_text(json.dumps({section: {"wavenumber": 7}}))
+    rc = run(tmp_path, subcommand, "--config", str(cfg))
     assert rc == 64
-    assert "wavenumber" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unknown {section} key(s): wavenumber" in err
+
+
+def test_every_config_field_is_accepted_at_its_default():
+    # the key sets come from the dataclass fields, less those the CLI fills
+    filled = {"experiment", "grid", "flow", "gibbs", "master_seed", "threads"}
+    classes = {
+        "grid": GridSpec, "flow": FlowConfig, "gibbs": GibbsConfig, "experiment": ExperimentConfig,
+    }
+    for section, cls in classes.items():
+        for field in dataclasses.fields(cls):
+            if field.name in filled:
+                continue
+            default = DEFAULTS["invariance"][section].get(field.name, field.default)
+            item = f"{section}.{field.name}={json.dumps(default)}"
+            cfg = load_config("invariance", None, [item])
+            build_experiment_config("invariance", cfg)
+    for name in ("sample", "simulate", "control"):
+        for key, value in DEFAULTS[name][name].items():
+            load_config(name, None, [f"{name}.{key}={json.dumps(value)}"])
 
 
 def test_malformed_json_exits_64(tmp_path, capsys):
@@ -346,3 +384,15 @@ def test_selftest_passes_on_defaults(tmp_path, capsys):
     assert out.count("verdict: pass") == 6
     for name in ("invariance", "ergodicity", "linear", "decay", "nstability", "coupling"):
         assert (tmp_path / f"selftest_{name}_report.json").exists()
+    # `run_experiments.py --quick` runs at selftest's scale, so it writes the
+    # same reports
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", script)
+    run_experiments = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_experiments)
+    rc = run_experiments.main(["--quick", "--only", "linear", "nstability", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    for name in ("linear", "nstability"):
+        quick = (tmp_path / f"{name}_report.json").read_bytes()
+        assert quick == (tmp_path / f"selftest_{name}_report.json").read_bytes()

@@ -22,10 +22,10 @@ from gibbsdyn.linear_dynamics import (
     NoisePath,
     build_table,
     draw_increments,
-    mode_matrix,
     pair_to_state,
 )
 from gibbsdyn.spectral import GridSpec, half_lattice, mode_tuples
+from oracles import mode_matrix
 
 from conftest import random_pair
 

@@ -13,21 +13,15 @@ from conftest import random_field, random_hermitian_coeffs, random_pair
 from gibbsdyn import rng as rngmod
 from gibbsdyn.flow import (
     FlowConfig,
-    PicardDivergenceError,
     Trajectory,
-    _picard_window,
     energy,
     energy_monitor,
     energy_states,
     evolve,
     evolve_ensemble,
-    nonlinear_kick,
-    picard_solve,
-    step,
 )
 from gibbsdyn.linear_dynamics import (
     NoisePath,
-    apply_propagator,
     build_table,
     increments_to_states,
     pair_to_state,
@@ -46,6 +40,13 @@ from gibbsdyn.spectral import (
     sobolev_pair_norm,
     zero_field,
     zero_pair,
+)
+from oracles import (
+    PicardDivergenceError,
+    apply_propagator,
+    nonlinear_kick,
+    picard_solve,
+    step,
 )
 
 TWO_PI = 2.0 * np.pi

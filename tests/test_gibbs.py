@@ -21,7 +21,6 @@ from gibbsdyn.gibbs import (
     sample_mu,
     sample_mu_states,
     sample_rho,
-    sample_rho_rejection,
 )
 from gibbsdyn.linear_dynamics import states_to_increment_form
 from gibbsdyn.spectral import (
@@ -34,6 +33,7 @@ from gibbsdyn.spectral import (
     to_physical,
     zero_field,
 )
+from oracles import sample_rho_rejection
 
 TWO_PI = 2.0 * np.pi
 

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from gibbsdyn import harness
 from gibbsdyn.flow import FlowConfig
 from gibbsdyn.gibbs import GibbsConfig
 from gibbsdyn.harness import (
@@ -331,3 +333,21 @@ def test_coupling_past_ceiling_flags_blowup():
     assert rep.verdict == "fail"
     blow = {g.name: g for g in rep.gates}["no_blowup"]
     assert not blow.passed
+
+
+@pytest.mark.parametrize(
+    "grid", [GRID18, GridSpec(2, 10, 3.0), GridSpec(3, 6, 4.0)], ids=["d1", "d2", "d3"]
+)
+def test_scaled_to_energy_stops_when_bisection_stalls(grid, monkeypatch):
+    # stopping once the midpoint no longer moves gives the fixed 200-step
+    # bisection's bits with about a third of its energy evaluations
+    calls = []
+    energy = harness.energy
+    monkeypatch.setattr(harness, "energy", lambda v: calls.append(1) or energy(v))
+    for target in (1e-3, 1e-1, 1.0, 200.0**0.25, 200.0, 1e3):
+        calls.clear()
+        got = harness._scaled_to_energy(grid, target)
+        want = oracles.scaled_to_energy(grid, target)
+        assert np.array_equal(got.u.coeffs, want.u.coeffs)
+        assert np.array_equal(got.p.coeffs, want.p.coeffs)
+        assert len(calls) < 80

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gibbsdyn.flow import FlowConfig, Stepper, kick_states, step
+from gibbsdyn.flow import FlowConfig, Stepper, kick_states
 from gibbsdyn.gibbs import sample_mu_states
 from gibbsdyn.linear_dynamics import (
     build_table,
@@ -36,6 +36,7 @@ from gibbsdyn.spectral import (
     omega2,
     quartic_integral_coeffs,
 )
+from oracles import step
 
 GRIDS = {1: GridSpec(1, 18, 2.0), 2: GridSpec(2, 10, 3.0), 3: GridSpec(3, 6, 4.0)}
 BATCHES = [(), (1,), (5,), (2, 3)]

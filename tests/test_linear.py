@@ -13,15 +13,11 @@ import scipy.linalg
 from conftest import random_pair
 from gibbsdyn.linear_dynamics import (
     NoisePath,
-    apply_propagator,
     build_table,
     combine_noise,
     draw_increments,
-    exact_ou_step,
-    generator_matrices,
     increments_to_states,
     lam,
-    mode_matrix,
     pair_to_state,
     propagate_states,
     propagator,
@@ -30,7 +26,6 @@ from gibbsdyn.linear_dynamics import (
     stationary_covariance,
     states_to_increment_form,
     step_covariance,
-    stick_covariance,
     xalpha_norm,
 )
 from gibbsdyn.spectral import (
@@ -44,6 +39,13 @@ from gibbsdyn.spectral import (
     sobolev_pair_norm,
     zero_field,
     zero_pair,
+)
+from oracles import (
+    apply_propagator,
+    exact_ou_step,
+    generator_matrices,
+    mode_matrix,
+    stick_covariance,
 )
 
 
