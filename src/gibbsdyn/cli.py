@@ -37,6 +37,7 @@ from .harness import (
     ExperimentReport,
     Gate,
     _plain,
+    default_threads,
     make_gate,
     report_to_json,
     run_experiment,
@@ -180,8 +181,9 @@ def load_config(subcommand: str, path: str | None, overrides: list[str], seed=No
     """Resolve the run configuration.
 
     Precedence: --seed/--threads flags beat --set overrides beat the config
-    file beat GIBBSDYN_THREADS beat the built-in defaults.  The result always
-    carries every key, so the report echo has no hidden defaults.
+    file beat GIBBSDYN_THREADS beat the built-in defaults; threads defaults to
+    every core the process may run on.  The result always carries every key,
+    so the report echo has no hidden defaults.
     """
     cfg = json.loads(json.dumps(DEFAULTS[subcommand]))  # deep copy
     # the default s is filled in after the user's keys, because it follows d
@@ -215,7 +217,7 @@ def load_config(subcommand: str, path: str | None, overrides: list[str], seed=No
     cfg.setdefault("seed", ExperimentConfig.master_seed)
     if "threads" not in cfg:
         try:
-            cfg["threads"] = int(os.environ.get("GIBBSDYN_THREADS") or 1)
+            cfg["threads"] = int(os.environ.get("GIBBSDYN_THREADS") or default_threads())
         except ValueError as e:
             raise ConfigError(f"GIBBSDYN_THREADS is not an integer: {e}") from e
     _validate_config(cfg)
@@ -647,7 +649,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
-        p.add_argument("--threads", type=int, help="worker threads (or GIBBSDYN_THREADS)")
+        p.add_argument("--threads", type=int, help="worker threads (default: GIBBSDYN_THREADS, else every core)")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument(
             "--set",

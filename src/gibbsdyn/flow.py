@@ -278,10 +278,12 @@ def evolve(
             span = slice(2 * k, 2 * min(k + thin, n_steps))
             if noise_path is not None:
                 eta = noise_path.increments[span]
+                if record:
+                    increments[span] = eta
             else:
-                eta = draw_increments(table, gen, span.stop - span.start)
-            if record:
-                increments[span] = eta
+                # a recording run draws straight into its record
+                out = increments[span] if record else None
+                eta = draw_increments(table, gen, span.stop - span.start, out)
             yield eta[None]
 
     def visit(k: int, layers: np.ndarray) -> bool:
@@ -404,7 +406,7 @@ def evolve_ensemble(
                 nb = min(time_block, n_steps - k)
                 draws = np.empty((hi - lo, 2 * nb, table.n_half, 2), dtype=complex)
                 for r, gen in enumerate(gens):
-                    draws[r] = draw_increments(table, gen, 2 * nb)
+                    draw_increments(table, gen, 2 * nb, draws[r])
                 yield draws
 
         observe(0, initial_states[None, lo:hi])

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,6 +68,11 @@ from .spectral import (
 SCHEMA_VERSION = 1
 
 
+def default_threads() -> int:
+    """Worker threads when none are asked for: the cores this process may use."""
+    return len(os.sched_getaffinity(0))
+
+
 # ---------------------------------------------------------------------------
 # configuration and report plumbing
 # ---------------------------------------------------------------------------
@@ -101,12 +107,12 @@ class ExperimentConfig:
     envelope_scales: tuple[float, ...] = (1.0, 2.0, 4.0)
     envelope_horizon: float = 20.0
     master_seed: int = 20260819
-    threads: int = 1
+    threads: int = field(default_factory=default_threads)
 
     def __post_init__(self):
         if self.ensemble_size < 2:
             raise ValueError("ensemble size must be at least 2")
-        for name in ("z_threshold", "ess_floor", "rel_tolerance", "ks_pvalue_floor"):
+        for name in ("z_threshold", "ess_floor", "rel_tolerance", "ks_pvalue_floor", "target_energy"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 

@@ -161,21 +161,37 @@ def build_table(grid: GridSpec, h: float) -> PropagatorTable:
 # ---------------------------------------------------------------------------
 
 
-def draw_increments(table: PropagatorTable, gen: np.random.Generator, n_steps: int) -> np.ndarray:
+def draw_increments(
+    table: PropagatorTable,
+    gen: np.random.Generator,
+    n_steps: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Sample n_steps exact transition increments from one generator.
 
-    Returns a complex array of shape (n_steps, n_half, 2).  Consumes a fixed
-    (n_steps, n_half, 2, 2) block of standard normals in C order, so the
+    Returns a complex array of shape (n_steps, n_half, 2), written into `out`
+    when one is given; `out` must be C-contiguous complex of exactly that
+    shape, since the normals are drawn straight into its memory.  Consumes a
+    fixed (n_steps, n_half, 2, 2) block of standard normals in C order, so the
     sampled values depend only on the generator's stream position, never on
     how many steps are requested per call.
     """
-    g = gen.standard_normal((n_steps, table.n_half, 2, 2))
-    z = (g[..., 0] + 1j * g[..., 1]) * INV_SQRT2
-    z[:, 0, :] = g[:, 0, :, 0]  # zero mode: real, full variance
-    # chol[m] @ z[s, m] as two broadcast products over the columns of chol
-    cols = table.chol.transpose(2, 0, 1)  # cols[j][m, i] = chol[m, i, j]
-    out = cols[0] * z[..., 0:1]
-    out += cols[1] * z[..., 1:2]
+    shape = (n_steps, table.n_half, 2)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
+    g = out.view(float).reshape(shape + (2,))  # (re, im) of each component
+    gen.standard_normal(out=g)
+    g[:, 1:] *= INV_SQRT2
+    g[:, 0, :, 1] = 0.0  # zero mode: real, full variance
+    # z <- chol[m] @ z in place; chol is lower triangular, so component 1
+    # is updated while component 0 still holds its normal
+    L = table.chol
+    z0, z1 = out[..., 0], out[..., 1]
+    z1 *= L[:, 1, 1]
+    z1 += L[:, 1, 0] * z0
+    z0 *= L[:, 0, 0]
     return out
 
 

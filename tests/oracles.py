@@ -8,6 +8,9 @@ and full complex transforms for the alias-free cube, and `vals**4` for the
 quartic integral.  The library's propagation, scatter, draws and transforms
 perform the same floating-point operations in the same order, so they agree
 bit for bit (up to the sign of exact zeros, which np.array_equal ignores).
+The in-place draw adds the Cholesky product's two terms in the other order
+and leaves out the exact-zero upper entry; IEEE addition commutes, so that
+changes no bit either.
 Its cube runs through the half spectrum and its quartic squares twice, so
 those, and the kicks and steps built on them, agree to rounding.
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,13 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
         load_config("invariance", None, [])
 
 
+def test_default_threads_is_the_affinity_count(monkeypatch):
+    monkeypatch.delenv("GIBBSDYN_THREADS", raising=False)
+    cores = len(os.sched_getaffinity(0))
+    assert load_config("invariance", None, [])["threads"] == cores
+    assert ExperimentConfig("invariance", GridSpec(1, 18, 2.0)).threads == cores
+
+
 # ---------------------------------------------------------------------------
 # subcommands and exit codes
 # ---------------------------------------------------------------------------
@@ -203,6 +211,13 @@ def test_default_s_resolution(tmp_path):
     assert load_config("coupling", str(cfg), [])["grid"]["s"] == 3.0
     cfg.write_text(json.dumps({"grid": {"d": 2}}))
     assert load_config("coupling", str(cfg), [])["grid"]["s"] == 4.0
+
+
+@pytest.mark.parametrize("target", [0, -1])
+def test_nonpositive_target_energy_exits_64(tmp_path, capsys, target):
+    rc = run(tmp_path, "coupling", "--set", f"experiment.target_energy={target}", "--set", "flow.T=2")
+    assert rc == 64
+    assert "target_energy must be strictly positive" in capsys.readouterr().err
 
 
 def test_gate_failure_exits_2(tmp_path, capsys):

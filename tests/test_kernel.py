@@ -2,9 +2,10 @@
 
 `tests/oracles.py` keeps the straightforward formulations (einsum
 propagation, zero-filled fancy-index scatter, masked np.ix_ cube over the
-full complex spectrum).  Propagation, scatter, draws and transforms perform
-the same floating-point operations in the same order as those forms, so they
-are compared with np.array_equal.  The dealiased cube goes through the half
+full complex spectrum).  Propagation, scatter and transforms perform the
+same floating-point operations in the same order as those forms, and the
+draws differ only by a commuted addition and a dropped exact-zero term, so
+they are compared with np.array_equal.  The dealiased cube goes through the half
 spectrum with real transforms, and the quartic integral takes its fourth
 power as two squarings, which round differently: those comparisons, and the
 kicks and steps built on them, allow max|got - want| <= 1e-13 * max|want|.
@@ -106,12 +107,63 @@ def test_sample_mu_states_scatter_matches_reference(d):
     assert np.array_equal(got, oracles.increments_to_states(grid, z))
 
 
+# a short and a long step for the draw checks, besides the 0.05 above
+DRAW_STEPS = (0.005, 0.5)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_draw_increments_matches_einsum(d):
     table = build_table(GRIDS[d], 0.05)
     got = draw_increments(table, np.random.default_rng(4), 9)
     want = oracles.draw_increments(table.chol, np.random.default_rng(4), 9)
     assert np.array_equal(got.view(float), want.view(float))
+    # the in-place product rounds as the einsum does at short and long steps;
+    # the uint64 view compares sign bits too
+    for h in DRAW_STEPS:
+        table = build_table(GRIDS[d], h)
+        got = draw_increments(table, np.random.default_rng(4), 9)
+        want = oracles.draw_increments(table.chol, np.random.default_rng(4), 9)
+        assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("h", DRAW_STEPS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_draw_increments_into_block_row(d, h):
+    table = build_table(GRIDS[d], h)
+    block = np.full((2, 9, table.n_half, 2), 7.0 + 3.0j)
+    got = draw_increments(table, np.random.default_rng(4), 9, block[1])
+    assert np.shares_memory(got, block[1]) and got.shape == block[1].shape
+    want = oracles.draw_increments(table.chol, np.random.default_rng(4), 9)
+    assert np.array_equal(block[1].view(float), want.view(float))
+    assert np.all(block[0] == 7.0 + 3.0j)
+
+
+@pytest.mark.parametrize("h", DRAW_STEPS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_draw_increments_split_calls_continue_the_stream(d, h):
+    table = build_table(GRIDS[d], h)
+    gen = np.random.default_rng(4)
+    parts = np.concatenate([draw_increments(table, gen, 2), draw_increments(table, gen, 7)])
+    whole = oracles.draw_increments(table.chol, np.random.default_rng(4), 9)
+    assert np.array_equal(parts.view(float), whole.view(float))
+
+
+def test_draw_increments_rejects_unusable_out():
+    # a strided view would be copied by the float reshape, losing the draws
+    table = build_table(GRIDS[1], 0.05)
+    nh = table.n_half
+    bad = [
+        np.empty((9, nh, 4), dtype=complex)[..., ::2],  # strided
+        np.empty((nh, 2, 9), dtype=complex).transpose(2, 0, 1),  # right shape, F order
+        np.empty((8, nh, 2), dtype=complex),  # too few steps
+        np.empty((9, nh + 1, 2), dtype=complex),  # another grid's half lattice
+        np.empty((9, nh, 2, 2)),  # real normals
+        np.empty((9, nh, 2), dtype=np.complex64),
+    ]
+    for out in bad:
+        with pytest.raises(ValueError, match="C-contiguous complex"):
+            draw_increments(table, np.random.default_rng(4), 9, out)
 
 
 @pytest.mark.parametrize("batch", BATCHES, ids=str)
