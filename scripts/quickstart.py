@@ -8,9 +8,8 @@ Run from the repository root:
 import numpy as np
 
 from gibbsdyn import rng
-from gibbsdyn.flow import FlowConfig, energy, evolve
+from gibbsdyn.flow import FlowConfig, energy_states, evolve
 from gibbsdyn.gibbs import GibbsConfig, estimate, sample_rho
-from gibbsdyn.linear_dynamics import state_to_pair
 from gibbsdyn.observables import resolve
 from gibbsdyn.spectral import GridSpec
 
@@ -31,14 +30,14 @@ def main() -> None:
 
     # one trajectory of the full dynamics from an ensemble member
     cfg = FlowConfig(grid=grid, N=4, gamma=0.5, h=0.01, T=20.0)
-    u0 = state_to_pair(grid, ens.states[0])
-    traj = evolve(u0, cfg, rng.stream(0, 2))
-    l2 = [float(np.sum(np.abs(v.u.coeffs) ** 2)) for v in traj.states]
+    traj = evolve(ens.states[0], cfg, rng.stream(0, 2))
+    # traj.states is (n_samples, 2, n_modes): row 0 is u, row 1 is u_t
+    l2 = np.sum(np.abs(traj.states[:, 0]) ** 2, axis=-1)
     print(f"\ntrajectory to T={cfg.T}: {len(traj.states)} samples, "
           f"no blowup: {traj.blowup_time is None}")
     print(f"  l2_u  start {l2[0]:.4f}  end {l2[-1]:.4f}  "
           f"time-mean {np.mean(l2):.4f}")
-    print(f"  energy of final state: {energy(traj.states[-1]):.4f}")
+    print(f"  energy of final state: {energy_states(grid, traj.states[-1]):.4f}")
 
 
 if __name__ == "__main__":

@@ -1,18 +1,18 @@
 """Spectral Galerkin simulation of damped stochastic wave dynamics on the
 torus, with a Monte-Carlo harness that verifies the Gibbs-type invariant
-measure, ergodic averaging, and the supporting linear theory."""
+measure, ergodic averaging, and the supporting linear theory.
+
+States are flat complex arrays (..., 2, n_modes): displacement and velocity
+coefficients on the mode cube of a `GridSpec`."""
 
 from gibbsdyn.spectral import (
     AliasError,
     GridSpec,
-    PairField,
-    SpectralField,
-    dealiased_cube,
+    cube_mask,
+    dealiased_cube_coeffs,
     holder_norm,
-    project_cube,
-    quartic_integral,
+    quartic_integral_coeffs,
     sobolev_pair_norm,
-    zero_pair,
 )
 
 __version__ = "0.1.0"
@@ -20,13 +20,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AliasError",
     "GridSpec",
-    "PairField",
-    "SpectralField",
-    "dealiased_cube",
+    "cube_mask",
+    "dealiased_cube_coeffs",
     "holder_norm",
-    "project_cube",
-    "quartic_integral",
+    "quartic_integral_coeffs",
     "sobolev_pair_norm",
-    "zero_pair",
     "__version__",
 ]

@@ -9,8 +9,8 @@ JSON (schema-versioned, runtime in a sidecar file so identical (config, seed)
 give byte-identical documents); time series go to RFC-4180 CSV.
 
 Exit codes: 0 all gates pass, 2 any gate fails, 3 inconclusive (effective
-sample size under the floor), 64 configuration/usage errors, 70 numerical
-failure.
+sample size under the floor, or no energy transient for `coupling` to fit),
+64 configuration/usage errors, 70 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from . import rng
 from .container import save_ensemble, save_noise
 from .control import NumericalError, forward_map, gram_form, right_inverse
 from .flow import FlowConfig, evolve
-from .gibbs import GibbsConfig, WeightedEnsemble, sample_mu_states, sample_rho
+from .gibbs import GibbsConfig, WeightedEnsemble, estimate, sample_mu_states, sample_rho
 from .harness import (
     EnsembleBlowupError,
     ExperimentConfig,
@@ -43,7 +43,6 @@ from .harness import (
     run_experiment,
     verdict_of,
 )
-from .linear_dynamics import pair_to_state, state_to_pair
 from .spectral import GridSpec, hermitianize, holder_norm, mode_tuples
 
 
@@ -436,9 +435,8 @@ def _cmd_sample(cfg: dict, out: Path) -> int:
     path = out / f"ensemble_{measure}.bin"
     save_ensemble(path, ens)
 
-    top = float(np.max(ens.log_weights))
-    w = np.exp(ens.log_weights - top)
-    ess = float(w.sum() ** 2 / np.sum(w**2))
+    # the effective sample size depends on the weights alone, not on the values
+    _, _, ess = estimate(ens, np.zeros(count))
     gates = [make_gate("ess", ess, 2.0, "ge")]
     stats = {
         "measure": measure,
@@ -485,9 +483,9 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     alpha = cfg.get("experiment", {}).get("alpha", 0.4)
     initial = section.get("initial", "zero")
     if initial == "zero":
-        u0 = state_to_pair(grid, np.zeros((2, grid.n_modes), dtype=complex))
+        u0 = np.zeros((2, grid.n_modes), dtype=complex)
     elif initial == "mu":
-        u0 = state_to_pair(grid, sample_mu_states(grid, rng.stream(cfg["seed"], 100), 1)[0])
+        u0 = sample_mu_states(grid, rng.stream(cfg["seed"], 100), 1)[0]
     else:
         raise ConfigError(f"unknown initial {initial!r} (expected 'zero' or 'mu')")
 
@@ -499,27 +497,24 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     )
 
     header = ["t", "E_v", "l2_u", "l2_ut", "holder_alpha", "xalpha_proxy"]
+    l2 = np.sum(np.abs(traj.states) ** 2, axis=-1)  # (n_samples, 2)
+    hol = holder_norm(grid, traj.states, alpha)
+    if traj.energies is not None:
+        e_v = traj.energies
+        proxy_norm = holder_norm(grid, traj.linear_states, alpha)
+    else:
+        e_v = np.full(len(traj.times), np.nan)
+        proxy_norm = hol
     rows = []
     for k, t in enumerate(traj.times):
-        state = pair_to_state(traj.states[k])
-        l2u = float(np.sum(np.abs(state[0]) ** 2))
-        l2p = float(np.sum(np.abs(state[1]) ** 2))
-        hol = holder_norm(traj.states[k], alpha)
-        if traj.energies is not None:
-            e_v = float(traj.energies[k])
-            proxy_src = traj.linear_states[k]
-        else:
-            e_v = float("nan")
-            proxy_src = traj.states[k]
-        proxy = float(np.exp(0.125 * t)) * holder_norm(proxy_src, alpha)
-        rows.append([float(t), e_v, l2u, l2p, hol, proxy])
+        proxy = float(np.exp(0.125 * t)) * float(proxy_norm[k])
+        rows.append([float(t), float(e_v[k]), float(l2[k, 0]), float(l2[k, 1]), float(hol[k]), proxy])
     csv_path = out / "trajectory.csv"
     _write_csv(csv_path, header, rows)
 
     artifacts = {"csv": csv_path.name}
     if section.get("dump_states"):
-        states = np.stack([pair_to_state(s) for s in traj.states])
-        dump = WeightedEnsemble(grid, states, np.zeros(len(traj.states)), seed=cfg["seed"])
+        dump = WeightedEnsemble(grid, traj.states, np.zeros(len(traj.states)), seed=cfg["seed"])
         save_ensemble(out / "trajectory_states.bin", dump)
         artifacts["states"] = "trajectory_states.bin"
     if section.get("dump_noise"):
@@ -564,18 +559,15 @@ def _cmd_control(cfg: dict, out: Path) -> int:
     coeffs = amplitude * (g[..., 0] + 1j * g[..., 1])
     state = np.where(inside[None, :], coeffs, 0.0)
     # Hermitian symmetrization keeps the fields real-valued
-    sym = hermitianize(grid, state.reshape((2,) + grid.mode_shape))
-    target = state_to_pair(grid, sym)
+    target = hermitianize(grid, state.reshape((2,) + grid.mode_shape)).reshape(2, grid.n_modes)
 
     try:
-        ctrl = right_inverse(target, t, steps=steps)
+        ctrl = right_inverse(grid, target, t, steps=steps)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    image = forward_map(ctrl)
-    got = pair_to_state(image)
-    want = pair_to_state(target)
-    denom = max(float(np.max(np.abs(want))), 1e-300)
-    residual = float(np.max(np.abs(got - want))) / denom
+    got = forward_map(ctrl)
+    denom = max(float(np.max(np.abs(target))), 1e-300)
+    residual = float(np.max(np.abs(got - target))) / denom
 
     # worst Gram eigenvalue deviation from t/2 over well-separated modes
     worst_dev = 0.0

@@ -23,13 +23,11 @@ from .linear_dynamics import (
     NoisePath,
     build_table,
     increments_to_states,
-    pair_to_state,
     propagator,
     shift_direction,
-    state_to_pair,
     states_to_increment_form,
 )
-from .spectral import GridSpec, PairField, half_lattice
+from .spectral import GridSpec, half_lattice
 
 
 class NumericalError(RuntimeError):
@@ -114,27 +112,19 @@ def _step_columns(grid: GridSpec, h: float, n_steps: int) -> np.ndarray:
     return cols
 
 
-def forward_map(ctrl: ControlPath) -> PairField:
-    """Exact image at the horizon of the piecewise-constant control."""
+def forward_map(ctrl: ControlPath) -> np.ndarray:
+    """Exact image at the horizon of the piecewise-constant control, as a flat
+    state (2, n_modes)."""
     ctrl.check()
     grid = ctrl.grid
     K = ctrl.n_steps
     cols = _step_columns(grid, ctrl.h, K)
     half_img = np.einsum("km,kmc->mc", ctrl.values, cols[::-1])
-    return _half_pair_to_field(grid, half_img)
+    return increments_to_states(grid, half_img)
 
 
-def _half_pair_to_field(grid: GridSpec, half_values: np.ndarray) -> PairField:
-    """Assemble a Hermitian pair field from (n_half, 2) complex values."""
-    return state_to_pair(grid, increments_to_states(grid, half_values))
-
-
-def _field_to_half_pair(w: PairField) -> np.ndarray:
-    return states_to_increment_form(w.grid, pair_to_state(w))
-
-
-def right_inverse(w: PairField, t: float, steps: int = 2048) -> ControlPath:
-    """Minimum-norm control whose image at time t is w.
+def right_inverse(grid: GridSpec, w: np.ndarray, t: float, steps: int = 2048) -> ControlPath:
+    """Minimum-norm control whose image at time t is the flat state w (2, n_modes).
 
     Per mode the forward map onto (u_hat, p_hat) is a 2 x steps matrix A; the
     least-norm preimage is A^T (A A^T)^{-1} w_hat.  The 2x2 Gram A A^T is
@@ -145,7 +135,8 @@ def right_inverse(w: PairField, t: float, steps: int = 2048) -> ControlPath:
         raise ValueError("horizon must be positive")
     if steps < 64:
         raise ValueError("need at least 64 steps")
-    grid = w.grid
+    if np.shape(w) != (2, grid.n_modes):
+        raise ValueError(f"target has shape {np.shape(w)}, expected (2, {grid.n_modes})")
     h = t / steps
     cols = _step_columns(grid, h, steps)
     G = np.einsum("jma,jmb->mab", cols, cols)
@@ -153,7 +144,7 @@ def right_inverse(w: PairField, t: float, steps: int = 2048) -> ControlPath:
     cond = float(eig[:, 1].max() / eig[:, 0].min()) if eig[:, 0].min() > 0 else np.inf
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise NumericalError(f"per-mode Gram conditioning {cond:.3e} exceeds 1e12")
-    what = _field_to_half_pair(w)
+    what = states_to_increment_form(grid, w)
     y = np.linalg.solve(G, what[..., None])[..., 0]  # (n_half, 2) complex
     values = np.einsum("jma,ma->jm", cols[::-1], y)
     return ControlPath(grid, h, values)

@@ -28,17 +28,13 @@ from .linear_dynamics import (
     build_table,
     draw_increments,
     increments_to_states,
-    pair_to_state,
     propagate_states,
     propagator_columns,
-    state_to_pair,
 )
 from .spectral import (
     BATCH_ITEMS,
     TWO_PI,
     GridSpec,
-    PairField,
-    SpectralField,
     abs2_modes,
     cube_index,
     dealiased_cube_coeffs,
@@ -87,29 +83,25 @@ class FlowConfig:
 class Trajectory:
     """Thinned sample-time states of one run, with optional decomposition.
 
-    A recorded run also keeps the remainder's energy at every sample time,
-    energy(v) of each of `v_states()`, as its blowup check computed it.
+    states and linear_states are flat arrays (n_samples, 2, n_modes), one
+    row per entry of times.  A recorded run also keeps the remainder's energy
+    at every sample time, the energy of each row of `v_states()`, as its
+    blowup check computed it.
     """
 
+    grid: GridSpec
     times: np.ndarray
-    states: list[PairField]
+    states: np.ndarray
     noise: NoisePath | None = None
-    linear_states: list[PairField] | None = None
+    linear_states: np.ndarray | None = None
     blowup_time: float | None = None
     energies: np.ndarray | None = None
 
-    def v_states(self) -> list[PairField]:
+    def v_states(self) -> np.ndarray:
+        """The remainder states - linear_states, (n_samples, 2, n_modes)."""
         if self.linear_states is None:
             raise ValueError("trajectory was run without noise recording")
-        out = []
-        for s, z in zip(self.states, self.linear_states):
-            out.append(
-                PairField(
-                    SpectralField(s.u.grid, s.u.coeffs - z.u.coeffs),
-                    SpectralField(s.p.grid, s.p.coeffs - z.p.coeffs),
-                )
-            )
-        return out
+        return self.states - self.linear_states
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +202,6 @@ def energy_states(grid: GridSpec, states: np.ndarray) -> np.ndarray:
     return vol * quad + 0.25 * quart
 
 
-def energy(v: PairField) -> float:
-    """Energy functional of a single pair field."""
-    return float(energy_states(v.grid, pair_to_state(v)[None])[0])
-
-
 # ---------------------------------------------------------------------------
 # single-trajectory evolution
 # ---------------------------------------------------------------------------
@@ -225,19 +212,21 @@ def default_thin(h: float) -> int:
 
 
 def evolve(
-    u0: PairField,
+    state0: np.ndarray,
     cfg: FlowConfig,
     gen: np.random.Generator | None = None,
     *,
-    initial_remainder: PairField | None = None,
+    initial_remainder: np.ndarray | None = None,
     noise_path: NoisePath | None = None,
     thin_every: int | None = None,
 ) -> Trajectory:
-    """Run the splitting flow from u0 (plus an optional remainder).
+    """Run the splitting flow from the flat state state0 (2, n_modes), plus an
+    optional remainder of the same shape.
 
     When cfg.record_noise is set, every half-step increment is recorded and
-    the linear solution from u0 is co-evolved on the identical increments, so
-    state - linear_state realizes the remainder with v(0) = initial_remainder.
+    the linear solution from state0 is co-evolved on the identical increments,
+    so state - linear_state realizes the remainder with v(0) =
+    initial_remainder.
     A noise_path (at half-step spacing) replays recorded increments instead of
     drawing fresh ones.  Blowup (non-finite coefficients, or an energy that is
     NaN or beyond 1e12) truncates the trajectory and sets blowup_time.
@@ -255,19 +244,29 @@ def evolve(
     elif gen is None:
         raise ValueError("need a generator when no noise path is given")
     thin = default_thin(cfg.h) if thin_every is None else max(1, thin_every)
+    for name, given in (("initial state", state0), ("initial remainder", initial_remainder)):
+        if given is not None and np.shape(given) != (2, grid.n_modes):
+            raise ValueError(
+                f"{name} has shape {np.shape(given)}, expected (2, {grid.n_modes})"
+            )
 
-    state = pair_to_state(u0).copy()
+    state = np.array(state0, dtype=complex)
     if initial_remainder is not None:
-        state += pair_to_state(initial_remainder)
+        state += initial_remainder
     record = cfg.record_noise
-    linear = pair_to_state(u0).copy() if record else None
+    linear = np.array(state0, dtype=complex) if record else None
     increments = (
         np.empty((2 * n_steps, table.n_half, 2), dtype=complex) if record else None
     )
 
+    sample_steps = {k for k in range(1, n_steps + 1) if k % thin == 0 or k == n_steps}
+    n_samples = len(sample_steps) + 1
     times = [0.0]
-    states = [state_to_pair(grid, state)]
-    linear_states = [state_to_pair(grid, linear)] if record else None
+    # layer 0 holds the states, layer 1 the linear states of a recorded run
+    kept = np.empty((2 if record else 1, n_samples, 2, grid.n_modes), dtype=complex)
+    kept[0, 0] = state
+    if record:
+        kept[1, 0] = linear
     energies = [float(energy_states(grid, (state - linear)[None])[0])] if record else None
     blowup_time = None
 
@@ -289,10 +288,8 @@ def evolve(
     def visit(k: int, layers: np.ndarray) -> bool:
         nonlocal blowup_time
         t = k * cfg.h
+        kept[:, len(times)] = layers[:, 0]
         times.append(t)
-        states.append(state_to_pair(grid, layers[0, 0]))
-        if record:
-            linear_states.append(state_to_pair(grid, layers[1, 0]))
         probe = layers[0] - layers[1] if record else layers[0]
         finite = np.all(np.isfinite(probe.view(float)))
         if finite:
@@ -309,19 +306,20 @@ def evolve(
             return True
         return False
 
-    sample_steps = {k for k in range(1, n_steps + 1) if k % thin == 0 or k == n_steps}
     layers = np.stack((state, linear)) if record else state[None]
     stepper.run(layers[:, None], blocks(), sample_steps, visit)
 
     path = None
     if record:
-        kept = increments if blowup_time is None else increments[: 2 * round(blowup_time / cfg.h)]
-        path = NoisePath(grid, cfg.h / 2, kept)
+        drawn = increments if blowup_time is None else increments[: 2 * round(blowup_time / cfg.h)]
+        path = NoisePath(grid, cfg.h / 2, drawn)
+    kept = kept[:, : len(times)]
     return Trajectory(
+        grid,
         np.array(times),
-        states,
+        kept[0],
         path,
-        linear_states,
+        kept[1] if record else None,
         blowup_time,
         np.array(energies) if record else None,
     )
@@ -433,7 +431,11 @@ def evolve_ensemble(
 
 @dataclass
 class EnergyReport:
-    """Summary of the remainder's energy along a trajectory."""
+    """Summary of the remainder's energy along a trajectory.
+
+    fitted is False when the initial energy does not exceed twice the band,
+    so no transient was fitted and decay_rate reads 0.
+    """
 
     times: np.ndarray
     energies: np.ndarray
@@ -443,6 +445,7 @@ class EnergyReport:
     envelope_constant: float
     blowup_time: float | None = None
     fit_window: tuple[float, float] = (0.0, 0.0)
+    fitted: bool = False
 
 
 def energy_monitor(traj: Trajectory, alpha: float) -> EnergyReport:
@@ -466,7 +469,8 @@ def energy_monitor(traj: Trajectory, alpha: float) -> EnergyReport:
     excess = energies - band
     fit_rate = 0.0
     fit_lo = fit_hi = 0.0
-    if e0 > 2 * band and e0 > 0:
+    fitted = bool(e0 > 2 * band and e0 > 0)
+    if fitted:
         mask = excess > max(band, 1e-12 * e0)
         stop = int(np.argmin(mask)) if not mask.all() else len(mask)
         stop = max(stop, 3)
@@ -475,9 +479,8 @@ def energy_monitor(traj: Trajectory, alpha: float) -> EnergyReport:
         slope, _ = np.polyfit(pts_t, pts_y, 1)
         fit_rate = float(-slope)
         fit_lo, fit_hi = float(pts_t[0]), float(pts_t[-1])
-    z0 = traj.linear_states[0]
-    scale = xalpha_norm(z0, alpha)
-    sup_lin = max(holder_norm(z, alpha) for z in traj.linear_states)
+    scale = xalpha_norm(traj.grid, traj.linear_states[0], alpha)
+    sup_lin = float(np.max(holder_norm(traj.grid, traj.linear_states, alpha)))
     base = max(scale, sup_lin)
     envelope = band / (1.0 + base ** (8.0 / alpha)) if base > 0 else band
     return EnergyReport(
@@ -489,4 +492,5 @@ def energy_monitor(traj: Trajectory, alpha: float) -> EnergyReport:
         envelope_constant=float(envelope),
         blowup_time=traj.blowup_time,
         fit_window=(fit_lo, fit_hi),
+        fitted=fitted,
     )

@@ -22,14 +22,12 @@ import numpy as np
 from .spectral import (
     TWO_PI,
     GridSpec,
-    PairField,
-    SpectralField,
     cube_mask,
     half_lattice,
     omega2,
     quartic_integral_coeffs,
 )
-from .linear_dynamics import increments_to_states, state_to_pair
+from .linear_dynamics import increments_to_states
 
 
 @dataclass(frozen=True)
@@ -68,11 +66,6 @@ def sample_mu_states(grid: GridSpec, gen: np.random.Generator, count: int) -> np
     return increments_to_states(grid, z)
 
 
-def sample_mu(grid: GridSpec, gen: np.random.Generator) -> PairField:
-    """One exact draw from the Gaussian base measure."""
-    return state_to_pair(grid, sample_mu_states(grid, gen, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # interaction
 # ---------------------------------------------------------------------------
@@ -87,12 +80,6 @@ def interaction_states(states: np.ndarray, cfg: GibbsConfig) -> np.ndarray:
     coeffs = states[..., 0, :] * mask
     quart = quartic_integral_coeffs(grid, coeffs.reshape(states.shape[:-2] + grid.mode_shape), band=cfg.N)
     return (cfg.gamma / 4.0) * quart / TWO_PI**grid.d
-
-
-def interaction(u: SpectralField, cfg: GibbsConfig) -> float:
-    """Interaction of a single displacement field; log density is -interaction."""
-    state = np.stack([u.coeffs.reshape(-1), np.zeros(u.grid.n_modes, dtype=complex)])
-    return float(interaction_states(state[None], cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +99,6 @@ class WeightedEnsemble:
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    def pair(self, i: int) -> PairField:
-        return state_to_pair(self.grid, self.states[i])
-
     def check(self) -> None:
         if len(self.log_weights) != len(self):
             raise ValueError("weight/sample length mismatch")
@@ -122,20 +106,18 @@ class WeightedEnsemble:
             raise ValueError("log weights must be nonpositive")
 
 
-def estimate(ensemble: WeightedEnsemble, observable) -> tuple[float, float, float]:
-    """Self-normalized estimate (mean, standard error, effective sample size).
+def estimate(ensemble: WeightedEnsemble, observable: np.ndarray) -> tuple[float, float, float]:
+    """Self-normalized estimate (mean, standard error, effective sample size)
+    of an observable's values, one per sample.
 
-    observable may be a callable on PairField or a precomputed value array.
+    The effective sample size depends on the weights alone.
     """
     n = len(ensemble)
     if n == 0:
         raise ValueError("empty ensemble")
-    if callable(observable):
-        vals = np.array([float(observable(ensemble.pair(i))) for i in range(n)])
-    else:
-        vals = np.asarray(observable, dtype=float)
-        if vals.shape != (n,):
-            raise ValueError("observable array length mismatch")
+    vals = np.asarray(observable, dtype=float)
+    if vals.shape != (n,):
+        raise ValueError("observable array length mismatch")
     top = ensemble.log_weights.max()
     if not np.isfinite(top):
         raise ValueError("all weights vanish")

@@ -28,8 +28,8 @@ import numpy as np
 from . import rng
 from .flow import (
     FlowConfig,
-    energy,
     energy_monitor,
+    energy_states,
     evolve,
     evolve_ensemble,
     ENERGY_CEILING,
@@ -44,25 +44,20 @@ from .gibbs import (
 )
 from .linear_dynamics import (
     build_table,
-    pair_to_state,
     propagate_states,
     sample_stick,
-    state_to_pair,
     step_covariance,
     xalpha_norm,
 )
 from .observables import resolve, resolve_battery
 from .spectral import (
     GridSpec,
-    PairField,
-    SpectralField,
     abs2_modes,
     cube_mask,
     flat_index,
     holder_norm,
     omega2,
     sobolev_pair_norm,
-    zero_pair,
 )
 
 SCHEMA_VERSION = 1
@@ -409,19 +404,11 @@ def linear_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     flow = replace(cfg.flow, gamma=0.0, grid=grid, record_noise=True)
 
     pair0 = sample_mu_states(grid, rng.stream(cfg.master_seed, 5), 2)
-    u0 = state_to_pair(grid, pair0[0])
-    u1 = state_to_pair(grid, pair0[1])
-    traj0 = evolve(u0, flow, rng.stream(cfg.master_seed, 6))
-    traj1 = evolve(u1, flow, noise_path=traj0.noise)
+    traj0 = evolve(pair0[0], flow, rng.stream(cfg.master_seed, 6))
+    traj1 = evolve(pair0[1], flow, noise_path=traj0.noise)
 
-    diffs = []
-    for a, b in zip(traj0.states, traj1.states):
-        diffs.append(
-            holder_norm(
-                state_to_pair(grid, pair_to_state(a) - pair_to_state(b)), cfg.alpha
-            )
-        )
-    diffs = np.array(diffs)
+    got = traj0.states - traj1.states
+    diffs = holder_norm(grid, got, cfg.alpha)
     times = traj0.times
     positive = diffs > 1e-300
     slope, intercept = np.polyfit(times[positive], np.log(diffs[positive]), 1)
@@ -430,17 +417,17 @@ def linear_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # coupling is exact: the difference is the deterministic propagation of
     # the initial difference, independent of the noise
     table = build_table(grid, flow.h / 2)
-    want = pair0[0] - pair0[1]
+    want = np.empty_like(got)
+    state = pair0[0] - pair0[1]
     done = 0
-    worst = 0.0
-    for k, (a, b) in enumerate(zip(traj0.states, traj1.states)):
-        got = pair_to_state(a) - pair_to_state(b)
-        steps = int(round(times[k] / (flow.h / 2)))
+    for k, t in enumerate(times):
+        steps = int(round(t / (flow.h / 2)))
         for _ in range(steps - done):
-            want = propagate_states(table.S, want)
+            state = propagate_states(table.S, state)
         done = steps
-        denom = max(float(np.max(np.abs(want))), 1e-14)
-        worst = max(worst, float(np.max(np.abs(got - want))) / denom)
+        want[k] = state
+    denom = np.maximum(np.max(np.abs(want), axis=(1, 2)), 1e-14)
+    worst = float(np.max(np.max(np.abs(got - want), axis=(1, 2)) / denom))
 
     # law of the zero-mode pair at the horizon vs fresh base-measure draws
     count = cfg.ensemble_size
@@ -499,16 +486,15 @@ def stick_decay_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     n_windows = cfg.windows
     per_window = 4  # quarter-unit sampling inside each window
     n_nodes = n_windows * per_window + 1
+    weights = np.array([np.exp(cfg.weight_exponent * (0.25 * j)) for j in range(n_nodes)])
+    nodes = np.empty((n_nodes, 2, grid.n_modes), dtype=complex)
     sups = np.zeros((count, n_windows))
     for i in range(count):
-        stick, _ = sample_stick(cfg.stick_time, table, rng.stream(cfg.master_seed, 9, i))
-        state = pair_to_state(stick)
-        window_vals = np.zeros(n_nodes)
-        for j in range(n_nodes):
-            s = 0.25 * j
-            weight = np.exp(cfg.weight_exponent * s)
-            window_vals[j] = weight * holder_norm(state_to_pair(grid, state), alpha)
-            state = propagate_states(prop_quarter.S, state)
+        state, _ = sample_stick(cfg.stick_time, table, rng.stream(cfg.master_seed, 9, i))
+        nodes[0] = state
+        for j in range(1, n_nodes):
+            nodes[j] = propagate_states(prop_quarter.S, nodes[j - 1])
+        window_vals = weights * holder_norm(grid, nodes, alpha)
         for k in range(n_windows):
             sups[i, k] = np.max(window_vals[k * per_window : (k + 1) * per_window + 1])
 
@@ -556,13 +542,12 @@ def nstability_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if any(4 * n + 2 > grid.M for n in n_values):
         raise ValueError("grid too small for dealiased runs at the largest cutoff")
 
-    u0_state = sample_mu_states(grid, rng.stream(cfg.master_seed, 10), 1)[0]
-    u0 = state_to_pair(grid, u0_state)
+    u0 = sample_mu_states(grid, rng.stream(cfg.master_seed, 10), 1)[0]
 
     base_flow = replace(cfg.flow, grid=grid, record_noise=True, N=max(n_values))
     base_traj = evolve(u0, base_flow, rng.stream(cfg.master_seed, 11), thin_every=1)
 
-    v_series: dict[int, list[PairField]] = {}
+    v_series: dict[int, np.ndarray] = {}
     for n in n_values:
         if cfg.shared_noise and n == max(n_values):
             traj = base_traj
@@ -577,13 +562,10 @@ def nstability_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     pairs = [(n, 2 * n) for n in n_values if 2 * n in n_values]
     diffs = []
     for n, n2 in pairs:
-        sup = max(
-            sobolev_pair_norm(
-                state_to_pair(grid, pair_to_state(a) - pair_to_state(b)), grid.s / 2
-            )
-            for a, b in zip(v_series[n], v_series[n2])
-        )
-        diffs.append(sup)
+        # a blowup shortens a run; compare the sample times both reached
+        both = min(len(v_series[n]), len(v_series[n2]))
+        gap = v_series[n][:both] - v_series[n2][:both]
+        diffs.append(float(np.max(sobolev_pair_norm(grid, gap, grid.s / 2))))
     logs_n = np.log([n for n, _ in pairs])
     slope, intercept = np.polyfit(logs_n, np.log(diffs), 1)
 
@@ -602,22 +584,18 @@ def nstability_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _scale_pair(v: PairField, a: float) -> PairField:
-    return PairField(
-        SpectralField(v.u.grid, a * v.u.coeffs), SpectralField(v.p.grid, a * v.p.coeffs)
-    )
-
-
-def _scaled_to_energy(grid: GridSpec, target: float) -> PairField:
-    """A single-mode displacement field scaled so its energy hits the target."""
-    base = zero_pair(grid)
+def _scaled_to_energy(grid: GridSpec, target: float) -> np.ndarray:
+    """A single-mode displacement state scaled so its energy hits the target."""
+    base = np.zeros((2, grid.n_modes), dtype=complex)
     tup = (1,) + (0,) * (grid.d - 1)
-    shaped = base.u.coeffs
-    shaped.reshape(-1)[flat_index(grid, tup)] = 0.5
-    shaped.reshape(-1)[flat_index(grid, tuple(-c for c in tup))] = 0.5
+    base[0, flat_index(grid, tup)] = 0.5
+    base[0, flat_index(grid, tuple(-c for c in tup))] = 0.5
+
+    def energy(a: float) -> float:
+        return float(energy_states(grid, (a * base)[None])[0])
 
     lo, hi = 0.0, 1.0
-    while energy(_scale_pair(base, hi)) < target:
+    while energy(hi) < target:
         hi *= 2
         if hi > 1e9:
             raise ValueError("target energy out of reach")
@@ -628,11 +606,11 @@ def _scaled_to_energy(grid: GridSpec, target: float) -> PairField:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if energy(_scale_pair(base, mid)) < target:
+        if energy(mid) < target:
             lo = mid
         else:
             hi = mid
-    return _scale_pair(base, 0.5 * (lo + hi))
+    return 0.5 * (lo + hi) * base
 
 
 def coupling_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -646,28 +624,25 @@ def coupling_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     flow = replace(cfg.flow, grid=grid, record_noise=True)
     v0 = _scaled_to_energy(grid, cfg.target_energy)
 
-    traj = evolve(zero_pair(grid), flow, rng.stream(cfg.master_seed, 12), initial_remainder=v0)
+    zero = np.zeros((2, grid.n_modes), dtype=complex)
+    traj = evolve(zero, flow, rng.stream(cfg.master_seed, 12), initial_remainder=v0)
     monitor = energy_monitor(traj, cfg.alpha)
 
     inside = cube_mask(grid, flow.N).reshape(-1)
-    worst_outside = 0.0
-    for v in traj.v_states():
-        state = pair_to_state(v)
-        scale = max(float(np.max(np.abs(state))), 1e-14)
-        worst_outside = max(
-            worst_outside, float(np.max(np.abs(state[:, ~inside]))) / scale
-        )
+    size = np.abs(traj.v_states())
+    scale = np.maximum(np.max(size, axis=(1, 2)), 1e-14)
+    worst_outside = float(np.max(np.max(size[:, :, ~inside], axis=(1, 2), initial=0.0) / scale))
 
     # envelope exponent: scale a moderate initial remainder and regress
     small = _scaled_to_energy(grid, cfg.target_energy ** 0.25)
     sups, sizes = [], []
     env_flow = replace(flow, T=min(cfg.envelope_horizon, flow.T))
     for j, a in enumerate(cfg.envelope_scales):
-        va = _scale_pair(small, a)
-        tr = evolve(zero_pair(grid), env_flow, rng.stream(cfg.master_seed, 12, j), initial_remainder=va)
+        va = a * small
+        tr = evolve(zero, env_flow, rng.stream(cfg.master_seed, 12, j), initial_remainder=va)
         rep = energy_monitor(tr, cfg.alpha)
         sups.append(rep.sup_energy)
-        sizes.append(xalpha_norm(va, cfg.alpha))
+        sizes.append(xalpha_norm(grid, va, cfg.alpha))
     env_slope, _ = np.polyfit(np.log(sizes), np.log(sups), 1)
     slope_cap = (8.0 / cfg.alpha) * 1.2
 
@@ -694,7 +669,11 @@ def coupling_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "times": monitor.times,
         "energies": monitor.energies,
     }
-    return _finish(cfg, stats, gates, False, t0)
+    # with no transient to fit (initial energy within twice the band) the
+    # decay gate reads 0 and says nothing about the flow; that makes the run
+    # inconclusive, unless another gate has failed it already
+    inconclusive = not monitor.fitted and all(g.passed for g in gates if g.name != "decay_rate")
+    return _finish(cfg, stats, gates, inconclusive, t0)
 
 
 EXPERIMENTS = {

@@ -21,15 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (
-    GridSpec,
-    PairField,
-    SpectralField,
-    half_lattice,
-    holder_batch_rows,
-    holder_norm_states,
-    omega2,
-)
+from .spectral import GridSpec, half_lattice, holder_batch_rows, holder_norm, omega2
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -214,17 +206,6 @@ def states_to_increment_form(grid: GridSpec, states: np.ndarray) -> np.ndarray:
     return np.moveaxis(states[..., half], -1, -2)
 
 
-def pair_to_state(v: PairField) -> np.ndarray:
-    return np.stack([v.u.coeffs.reshape(-1), v.p.coeffs.reshape(-1)])
-
-
-def state_to_pair(grid: GridSpec, state: np.ndarray) -> PairField:
-    return PairField(
-        SpectralField(grid, state[0].reshape(grid.mode_shape).copy()),
-        SpectralField(grid, state[1].reshape(grid.mode_shape).copy()),
-    )
-
-
 # ---------------------------------------------------------------------------
 # recorded noise
 # ---------------------------------------------------------------------------
@@ -254,33 +235,13 @@ class NoisePath:
             raise ValueError("increment array shape does not match grid")
 
 
-def combine_noise(path: NoisePath, factor: int) -> NoisePath:
-    """Aggregate increments into steps of size factor*h, exactly.
-
-    The linear transition over a coarse step equals S(h)^{factor} plus the
-    coarse increment sum_j S((factor-1-j) h) eta_j, so coarse trajectories
-    built from the combined path agree with fine ones at shared times to
-    rounding.
-    """
-    if factor < 1:
-        raise ValueError("factor must be a positive integer")
-    if path.n_steps % factor:
-        raise ValueError("n_steps is not divisible by the aggregation factor")
-    half = half_lattice(path.grid)
-    powers = np.empty((factor, half.size, 2, 2))
-    for j in range(factor):
-        powers[j] = propagator(path.grid, (factor - 1 - j) * path.h)[half]
-    blocks = path.increments.reshape(path.n_steps // factor, factor, half.size, 2)
-    out = np.einsum("jmab,kjmb->kma", powers, blocks)
-    return NoisePath(path.grid, factor * path.h, out, path.seed)
-
-
 def sample_stick(
     t: float, table: PropagatorTable, gen: np.random.Generator
-) -> tuple[PairField, NoisePath]:
-    """Exact sample of the stochastic convolution at time t = k*h.
+) -> tuple[np.ndarray, NoisePath]:
+    """Exact sample of the stochastic convolution at time t = k*h, as a flat
+    state (2, n_modes).
 
-    Iterates the exact transition from the zero field; every intermediate
+    Iterates the exact transition from the zero state; every intermediate
     increment is recorded for replay.
     """
     k = int(round(t / table.h))
@@ -292,14 +253,15 @@ def sample_stick(
         state = propagate_states(table.S, state) + increments_to_states(
             table.grid, eta[i]
         )
-    return state_to_pair(table.grid, state), NoisePath(table.grid, table.h, eta)
+    return state, NoisePath(table.grid, table.h, eta)
 
 
 def xalpha_norm(
-    v: PairField, alpha: float, horizon: float = 20.0, dt: float = 0.05
+    grid: GridSpec, state: np.ndarray, alpha: float, horizon: float = 20.0, dt: float = 0.05
 ) -> float:
-    """Decay-weighted sup norm: max over {0, dt, ..., horizon} of
-    e^{t/8} times the weighted grid-sup norm of the propagated field.
+    """Decay-weighted sup norm of a flat state (2, n_modes): max over
+    {0, dt, ..., horizon} of e^{t/8} times the Hoelder norm of the propagated
+    state.
 
     A lower bound of the true sup over t >= 0; the tail beyond the horizon is
     negligible for band-limited fields since the propagator decays like
@@ -309,12 +271,10 @@ def xalpha_norm(
     """
     if horizon < 0 or dt <= 0:
         raise ValueError("horizon must be >= 0 and dt > 0")
-    grid = v.grid
     S = propagator(grid, dt)
     n_times = int(np.floor(horizon / dt + 1e-9)) + 1
     per_batch = holder_batch_rows(grid)
     batch = np.empty((min(per_batch, n_times), 2, grid.n_modes), dtype=complex)
-    state = pair_to_state(v)
     best = 0.0
     for lo in range(0, n_times, per_batch):
         n = min(per_batch, n_times - lo)
@@ -322,7 +282,7 @@ def xalpha_norm(
             if lo + j > 0:
                 state = propagate_states(S, state)
             batch[j] = state
-        norms = holder_norm_states(grid, batch[:n], alpha)
+        norms = holder_norm(grid, batch[:n], alpha)
         for k, norm in enumerate(norms, start=lo):
             val = np.exp(k * dt / 8.0) * norm
             if val > best:

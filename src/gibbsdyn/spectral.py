@@ -9,12 +9,14 @@ number of physical grid points per dimension.  The expansion convention is
 with the Hermitian symmetry u_hat(-n) = conj(u_hat(n)) for real fields, and
 the normalized Parseval identity  sum_n |u_hat(n)|^2 = mean_x |u(x)|^2.
 All L^2-type norms in this package use that normalized (unit-mass) measure;
-`quartic_integral` is the one deliberately physical integral (it carries the
-(2*pi)^d volume factor) because it feeds energy diagnostics.
+`quartic_integral_coeffs` is the one deliberately physical integral (it
+carries the (2*pi)^d volume factor) because it feeds energy diagnostics.
 
-A pair field (u, p) bundles a displacement with its velocity; the fractional
-dissipation exponent `s` of the underlying dynamics is part of the grid spec
-because every weighted norm on pairs refers to it.
+A state is a flat complex array (..., 2, n_modes): row 0 holds the
+displacement's coefficients and row 1 its velocity's, each in the C order of
+the mode cube, with any leading batch axes.  The fractional dissipation
+exponent `s` of the underlying dynamics is part of the grid spec because
+every weighted norm on states refers to it.
 """
 
 from __future__ import annotations
@@ -162,76 +164,12 @@ def flat_index(grid: GridSpec, n: Iterable[int]) -> int:
     return idx
 
 
-@dataclass
-class SpectralField:
-    """A real scalar field stored by its Fourier coefficients on the mode cube."""
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != self.grid.mode_shape:
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.mode_shape}"
-            )
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        c = self.coeffs.ravel()
-        return bool(np.max(np.abs(c - np.conj(c[_lattice(self.grid)["mirror"]]))) <= tol)
-
-
-@dataclass
-class PairField:
-    """Displacement/velocity pair (u, u_t) on a common grid."""
-
-    u: SpectralField
-    p: SpectralField
-
-    def __post_init__(self):
-        if self.u.grid != self.p.grid:
-            raise ValueError("pair components must share a grid")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.u.grid
-
-    def copy(self) -> "PairField":
-        return PairField(self.u.copy(), self.p.copy())
-
-
-def zero_field(grid: GridSpec) -> SpectralField:
-    return SpectralField(grid, np.zeros(grid.mode_shape, dtype=complex))
-
-
-def zero_pair(grid: GridSpec) -> PairField:
-    return PairField(zero_field(grid), zero_field(grid))
-
-
 def hermitianize(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Project coefficients onto the Hermitian (real-field) subspace."""
     mirror = _lattice(grid)["mirror"]
     flat = coeffs.reshape(coeffs.shape[: coeffs.ndim - grid.d] + (grid.n_modes,))
     sym = 0.5 * (flat + np.conj(flat[..., mirror]))
     return sym.reshape(coeffs.shape)
-
-
-def scatter_half(grid: GridSpec, half_values: np.ndarray) -> np.ndarray:
-    """Build full Hermitian coefficients from values on the half lattice.
-
-    half_values has shape (..., n_half); the zero-mode entry is forced real.
-    """
-    lat = _lattice(grid)
-    half, mirr = lat["half"], lat["mirror_of_half"]
-    out = np.zeros(half_values.shape[:-1] + (grid.n_modes,), dtype=complex)
-    vals = half_values.astype(complex).copy()
-    vals[..., 0] = vals[..., 0].real
-    out[..., half] = vals
-    out[..., mirr] = np.conj(vals)
-    return out.reshape(half_values.shape[:-1] + grid.mode_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +230,6 @@ def grid_to_coeffs(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def to_physical(field: SpectralField, m: int | None = None) -> np.ndarray:
-    return coeffs_to_grid(field.grid, field.coeffs, m)
-
-
-def from_physical(grid: GridSpec, values: np.ndarray) -> SpectralField:
-    return SpectralField(grid, grid_to_coeffs(grid, values))
-
-
 # ---------------------------------------------------------------------------
 # projections and products
 # ---------------------------------------------------------------------------
@@ -327,15 +257,6 @@ def cube_index(grid: GridSpec, N: int) -> tuple:
     if not 0 <= N <= grid.K:
         raise ValueError(f"cube size N={N} outside [0, K={grid.K}]")
     return (Ellipsis,) + (slice(grid.K - N, grid.K + N + 1),) * grid.d
-
-
-def project_cube_coeffs(grid: GridSpec, coeffs: np.ndarray, N: int) -> np.ndarray:
-    return coeffs * cube_mask(grid, N)
-
-
-def project_cube(field: SpectralField, N: int) -> SpectralField:
-    """Sharp Fourier truncation to the cube of side 2N+1 (zero field for N=-1)."""
-    return SpectralField(field.grid, project_cube_coeffs(field.grid, field.coeffs, N))
 
 
 @lru_cache(maxsize=None)
@@ -412,46 +333,26 @@ def dealiased_cube_coeffs(grid: GridSpec, coeffs: np.ndarray, N: int) -> np.ndar
     return out
 
 
-def dealiased_cube(field: SpectralField, N: int) -> SpectralField:
-    """Cube-truncated pointwise third power, evaluated alias-free.
-
-    Products are formed on the physical grid; M >= 4N+2 guarantees that the
-    wrapped images of modes up to 3N cannot land back inside the retained
-    cube, so the result equals the exact triple convolution on |n|_inf <= N.
-    """
-    return SpectralField(field.grid, dealiased_cube_coeffs(field.grid, field.coeffs, N))
-
-
 # ---------------------------------------------------------------------------
 # norms and integrals
 # ---------------------------------------------------------------------------
 
 
-def l2_norm_sq(field: SpectralField) -> float:
-    return float(np.sum(np.abs(field.coeffs) ** 2))
-
-
-def inner(f: SpectralField, g: SpectralField) -> float:
-    return float(np.sum(f.coeffs * np.conj(g.coeffs)).real)
-
-
-def pair_inner(v: PairField, w: PairField) -> float:
-    return inner(v.u, w.u) + inner(v.p, w.p)
-
-
-def sobolev_pair_norm(v: PairField, alpha: float) -> float:
-    """Pair Sobolev norm: <n>^alpha on u and <n>^(alpha - s/2) on the velocity."""
-    grid = v.grid
-    br2 = bracket2(grid)
+def sobolev_pair_norm(grid: GridSpec, states: np.ndarray, alpha: float) -> np.ndarray:
+    """Pair Sobolev norms of flat states (..., 2, n_modes), one per state:
+    <n>^alpha on u and <n>^(alpha - s/2) on the velocity."""
+    br2 = bracket2(grid).reshape(-1)
     wu = br2**alpha
     wp = br2 ** (alpha - grid.s / 2.0)
-    val = np.sum(wu * np.abs(v.u.coeffs) ** 2) + np.sum(wp * np.abs(v.p.coeffs) ** 2)
-    return float(np.sqrt(val))
+    val = np.sum(wu * np.abs(states[..., 0, :]) ** 2, axis=-1) + np.sum(
+        wp * np.abs(states[..., 1, :]) ** 2, axis=-1
+    )
+    return np.sqrt(val)
 
 
 def holder_batch_rows(grid: GridSpec) -> int:
-    """States per `holder_norm_states` call (default oversampling) whose two
-    transform grids hold at most `BATCH_ITEMS` complex entries, and at least one."""
+    """States per transform in `holder_norm` whose two transform grids hold at
+    most `BATCH_ITEMS` complex entries, and at least one."""
     m = next_fast_len(2 * (2 * grid.K + 1))
     return max(1, BATCH_ITEMS // (2 * m**grid.d))
 
@@ -471,27 +372,24 @@ def holder_sup(grid: GridSpec, coeffs: np.ndarray, beta: float, oversample: int 
     return np.max(np.abs(vals), axis=tuple(range(-grid.d, 0)))
 
 
-def holder_norm_states(grid: GridSpec, states: np.ndarray, beta: float, oversample: int = 2) -> np.ndarray:
-    """Pair Hoelder-type norms of flat states (..., 2, n_modes): the larger of
-    the component sup norms at weights (beta, beta - s/2), one per state.
+def holder_norm(grid: GridSpec, states: np.ndarray, beta: float) -> np.ndarray:
+    """Pair Hoelder-type norms of flat states (..., 2, n_modes), one per state:
+    the larger of the component sup norms at weights (beta, beta - s/2),
+    each on the default oversampled grid of `holder_sup`.
 
-    Like Python's max, a NaN velocity norm never replaces the displacement's.
+    The states are transformed `holder_batch_rows` at a time; each state's
+    norm does not depend on the batch.  Like Python's max, a NaN velocity norm
+    never replaces the displacement's.
     """
-    su = holder_sup(grid, states[..., 0, :], beta, oversample)
-    sp = holder_sup(grid, states[..., 1, :], beta - grid.s / 2.0, oversample)
-    return np.where(sp > su, sp, su)
-
-
-def holder_norm_field(field: SpectralField, beta: float, oversample: int = 2) -> float:
-    """Sup norm of (1 - Laplacian)^(beta/2) applied to the field (`holder_sup`)."""
-    return float(holder_sup(field.grid, field.coeffs.reshape(-1), beta, oversample))
-
-
-def holder_norm(v: PairField, beta: float, oversample: int = 2) -> float:
-    """Pair Hoelder-type norm: max of the component sup norms at weights
-    (beta, beta - s/2)."""
-    state = np.stack((v.u.coeffs.reshape(-1), v.p.coeffs.reshape(-1)))
-    return float(holder_norm_states(v.grid, state, beta, oversample))
+    flat = states.reshape((-1, 2, grid.n_modes))
+    out = np.empty(flat.shape[0])
+    rows = holder_batch_rows(grid)
+    for lo in range(0, flat.shape[0], rows):
+        part = flat[lo : lo + rows]
+        su = holder_sup(grid, part[:, 0, :], beta)
+        sp = holder_sup(grid, part[:, 1, :], beta - grid.s / 2.0)
+        out[lo : lo + rows] = np.where(sp > su, sp, su)
+    return out.reshape(states.shape[:-2])
 
 
 def occupied_band(grid: GridSpec, coeffs: np.ndarray) -> int:
@@ -516,8 +414,3 @@ def quartic_integral_coeffs(grid: GridSpec, coeffs: np.ndarray, band: int | None
     axes = tuple(range(vals.ndim - grid.d, vals.ndim))
     vals *= vals
     return np.mean(vals * vals, axis=axes) * TWO_PI**grid.d
-
-
-def quartic_integral(field: SpectralField, band: int | None = None) -> float:
-    """Integral of u(x)^4 dx over the torus (volume factor (2*pi)^d included)."""
-    return float(quartic_integral_coeffs(field.grid, field.coeffs, band))

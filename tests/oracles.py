@@ -20,13 +20,17 @@ remainder energies recomputed state by state, and the decay-weighted norm
 taking one Hoelder norm per propagated state.  The batched forms perform the
 same floating-point operations per row, so they agree bit for bit.
 
-The last section holds the reference solvers and samplers only tests call,
-built on the library's kernel: a Picard fixed-point solver for the remainder
-integral equation, a single splitting step and kick on pair fields, the
-single-mode generator and propagator, one exact OU transition, the
-stochastic convolution's two-time covariance by quadrature, a rejection
-sampler for the quartic measure, and the coupling experiment's initial
-remainder found by a fixed 200 bisection steps.
+The reference solvers and samplers only tests call are built on the
+library's kernel: a Picard fixed-point solver for the remainder integral
+equation, a single splitting step and kick on one state, the single-mode
+generator and propagator, one exact OU transition, the stochastic
+convolution's two-time covariance by quadrature, a rejection sampler for the
+quartic measure, and the coupling experiment's initial remainder found by a
+fixed 200 bisection steps.  The last section holds helpers only tests use:
+a Hermitian scatter from the half lattice, one base-measure draw, the
+interaction of one field and the exact aggregation of recorded noise.
+
+States are flat arrays (2, n_modes), as in the library.
 """
 
 from __future__ import annotations
@@ -34,15 +38,12 @@ from __future__ import annotations
 import numpy as np
 
 from gibbsdyn import flow, linear_dynamics, spectral
-from gibbsdyn.flow import EnergyReport, FlowConfig, Stepper, Trajectory, default_thin, energy
+from gibbsdyn.flow import EnergyReport, FlowConfig, Stepper, Trajectory, default_thin, energy_states
 from gibbsdyn.gibbs import GibbsConfig, WeightedEnsemble, interaction_states, sample_mu_states
-from gibbsdyn.harness import _scale_pair
-from gibbsdyn.linear_dynamics import PropagatorTable, pair_to_state, propagator, state_to_pair
+from gibbsdyn.linear_dynamics import NoisePath, PropagatorTable, propagator
 from gibbsdyn.spectral import (
     TWO_PI,
     GridSpec,
-    PairField,
-    SpectralField,
     bracket2,
     cube_mask,
     flat_index,
@@ -51,7 +52,6 @@ from gibbsdyn.spectral import (
     occupied_band,
     omega2,
     sobolev_pair_norm,
-    zero_pair,
 )
 from scipy.fft import next_fast_len
 
@@ -145,44 +145,47 @@ def draw_increments(chol: np.ndarray, gen: np.random.Generator, n_steps: int) ->
 # ---------------------------------------------------------------------------
 
 
-def holder_norm_field(field: SpectralField, beta: float, oversample: int = 2) -> float:
-    """Grid sup of (1 - Laplacian)^(beta/2) of one field."""
-    grid = field.grid
-    weighted = field.coeffs * bracket2(grid) ** (beta / 2.0)
+def holder_norm_field(grid: GridSpec, coeffs: np.ndarray, beta: float, oversample: int = 2) -> float:
+    """Grid sup of (1 - Laplacian)^(beta/2) of one field's coefficients."""
+    weighted = coeffs.reshape(grid.mode_shape) * bracket2(grid) ** (beta / 2.0)
     m = next_fast_len(oversample * (2 * grid.K + 1))
     vals = coeffs_to_grid(grid, weighted, m)
     return float(np.max(np.abs(vals)))
 
 
-def holder_norm(v: PairField, beta: float, oversample: int = 2) -> float:
-    """Larger of the component sup norms at weights (beta, beta - s/2)."""
+def holder_norm(grid: GridSpec, state: np.ndarray, beta: float, oversample: int = 2) -> float:
+    """Larger of the component sup norms of one state (2, n_modes) at weights
+    (beta, beta - s/2)."""
     return max(
-        holder_norm_field(v.u, beta, oversample),
-        holder_norm_field(v.p, beta - v.grid.s / 2.0, oversample),
+        holder_norm_field(grid, state[0], beta, oversample),
+        holder_norm_field(grid, state[1], beta - grid.s / 2.0, oversample),
     )
 
 
-def xalpha_norm(v: PairField, alpha: float, horizon: float = 20.0, dt: float = 0.05) -> float:
+def xalpha_norm(grid: GridSpec, state: np.ndarray, alpha: float, horizon: float = 20.0, dt: float = 0.05) -> float:
     """The decay-weighted sup norm, one Hoelder norm per propagated state."""
-    grid = v.grid
     S = propagator(grid, dt)
-    state = pair_to_state(v)
     best = 0.0
     n_steps = int(np.floor(horizon / dt + 1e-9))
     for k in range(n_steps + 1):
         t = k * dt
-        val = np.exp(t / 8.0) * holder_norm(state_to_pair(grid, state), alpha)
+        val = np.exp(t / 8.0) * holder_norm(grid, state, alpha)
         if val > best:
             best = val
         state = propagate_states(S, state)
     return best
 
 
+def energy(grid: GridSpec, state: np.ndarray) -> float:
+    """Energy functional of one state (2, n_modes)."""
+    return float(energy_states(grid, state[None])[0])
+
+
 def energy_report(traj: Trajectory, alpha: float) -> EnergyReport:
     """The remainder's energy summary with every energy recomputed from
     `v_states()` and the linear norms taken state by state."""
-    vs = traj.v_states()
-    energies = np.array([energy(v) for v in vs])
+    grid = traj.grid
+    energies = np.array([energy(grid, v) for v in traj.v_states()])
     times = traj.times
     sup_e = float(np.nanmax(energies))
     tail = energies[len(energies) // 2 :]
@@ -191,7 +194,8 @@ def energy_report(traj: Trajectory, alpha: float) -> EnergyReport:
     excess = energies - band
     fit_rate = 0.0
     fit_lo = fit_hi = 0.0
-    if e0 > 2 * band and e0 > 0:
+    fitted = bool(e0 > 2 * band and e0 > 0)
+    if fitted:
         mask = excess > max(band, 1e-12 * e0)
         stop = int(np.argmin(mask)) if not mask.all() else len(mask)
         stop = max(stop, 3)
@@ -200,8 +204,8 @@ def energy_report(traj: Trajectory, alpha: float) -> EnergyReport:
         slope, _ = np.polyfit(pts_t, pts_y, 1)
         fit_rate = float(-slope)
         fit_lo, fit_hi = float(pts_t[0]), float(pts_t[-1])
-    scale = xalpha_norm(traj.linear_states[0], alpha)
-    sup_lin = max(holder_norm(z, alpha) for z in traj.linear_states)
+    scale = xalpha_norm(grid, traj.linear_states[0], alpha)
+    sup_lin = max(holder_norm(grid, z, alpha) for z in traj.linear_states)
     base = max(scale, sup_lin)
     envelope = band / (1.0 + base ** (8.0 / alpha)) if base > 0 else band
     return EnergyReport(
@@ -213,6 +217,7 @@ def energy_report(traj: Trajectory, alpha: float) -> EnergyReport:
         envelope_constant=float(envelope),
         blowup_time=traj.blowup_time,
         fit_window=(fit_lo, fit_hi),
+        fitted=fitted,
     )
 
 
@@ -292,10 +297,7 @@ def _picard_window(
                 propagate(S, G[k - 1]) + G[k]
             )
         v_new = hom - integral
-        delta = max(
-            sobolev_pair_norm(state_to_pair(grid, v_new[k] - v[k]), grid.s / 2)
-            for k in range(K + 1)
-        )
+        delta = max(sobolev_pair_norm(grid, v_new - v, grid.s / 2).tolist())
         v = v_new
         if delta < tol:
             return v
@@ -314,25 +316,22 @@ def _picard_window(
 
 
 def picard_solve(
-    v0: PairField | None,
-    linear_path: list[PairField] | np.ndarray,
+    v0: np.ndarray | None,
+    linear_path: np.ndarray,
     cfg: FlowConfig,
     T_loc: float | None = None,
-) -> list[PairField]:
+) -> np.ndarray:
     """Solve the remainder integral equation along a realized linear path.
 
-    linear_path holds z(t_k) on the step grid t_k = k*h, k = 0..K (as pair
-    fields or a (K+1, 2, n_modes) block).  Returns v on the same grid with
-    v(0) = v0 (zero when None).  The window [0, T_loc] (default: the whole
-    path) is covered by fixed-point iteration, halving the window and
+    linear_path holds z(t_k) on the step grid t_k = k*h, k = 0..K, as a
+    (K+1, 2, n_modes) block.  Returns v on the same grid, the same shape,
+    with v(0) = v0 (zero when None).  The window [0, T_loc] (default: the
+    whole path) is covered by fixed-point iteration, halving the window and
     restarting from the reached state whenever the iteration fails to
     contract.
     """
     grid = cfg.grid
-    if isinstance(linear_path, np.ndarray):
-        z_states = linear_path.astype(complex)
-    else:
-        z_states = np.stack([pair_to_state(p) for p in linear_path])
+    z_states = np.asarray(linear_path).astype(complex)
     K_total = z_states.shape[0] - 1
     if T_loc is not None:
         K_total = round(T_loc / cfg.h)
@@ -342,7 +341,7 @@ def picard_solve(
     v_cur = (
         np.zeros((2, grid.n_modes), dtype=complex)
         if v0 is None
-        else pair_to_state(v0).astype(complex)
+        else np.asarray(v0).astype(complex)
     )
     out = np.empty((K_total + 1, 2, grid.n_modes), dtype=complex)
     out[0] = v_cur
@@ -361,26 +360,26 @@ def picard_solve(
             continue
         out[done + 1 : done + w + 1] = seg[1:]
         done += w
-    return [state_to_pair(grid, out[k]) for k in range(K_total + 1)]
+    return out
 
 
-def nonlinear_kick(v: PairField, h: float, cfg: FlowConfig) -> PairField:
-    """The kick applied to a single pair field (u unchanged, p sheared)."""
-    state = pair_to_state(v).copy()
+def nonlinear_kick(state: np.ndarray, h: float, cfg: FlowConfig) -> np.ndarray:
+    """The kick applied to a copy of one state (u unchanged, p sheared)."""
+    state = state.copy()
     flow.kick_states(cfg, state, h)
-    return state_to_pair(cfg.grid, state)
+    return state
 
 
 def step(
-    state: PairField, table: PropagatorTable, cfg: FlowConfig, gen: np.random.Generator
-) -> tuple[PairField, np.ndarray]:
-    """One splitting step; returns the new state and the two recorded
-    half-step increments, shape (2, n_half, 2)."""
+    state: np.ndarray, table: PropagatorTable, cfg: FlowConfig, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One splitting step of a state (2, n_modes); returns the new state and
+    the two recorded half-step increments, shape (2, n_half, 2)."""
     if abs(table.h - cfg.h / 2) > 1e-12 * cfg.h:
         raise ValueError("table must be built at half the flow step")
     eta = linear_dynamics.draw_increments(table, gen, 2)
-    layers = Stepper(cfg).run(pair_to_state(state)[None, None], [eta[None]])
-    return state_to_pair(cfg.grid, layers[0, 0]), eta
+    layers = Stepper(cfg).run(np.asarray(state, dtype=complex)[None, None], [eta[None]])
+    return layers[0, 0], eta
 
 
 def generator_matrices(grid: GridSpec) -> np.ndarray:
@@ -405,49 +404,41 @@ def mode_matrix(n: tuple[int, ...] | int, t: float, grid: GridSpec) -> np.ndarra
     return np.exp(-t / 2) * m
 
 
-def apply_propagator(v: PairField, t: float) -> PairField:
-    """Propagate a pair field by the linear flow for time t."""
-    grid = v.grid
-    S = propagator(grid, t)
-    state = np.stack([v.u.coeffs.reshape(-1), v.p.coeffs.reshape(-1)])
-    out = np.einsum("mij,jm->im", S, state)
-    return PairField(
-        SpectralField(grid, out[0].reshape(grid.mode_shape)),
-        SpectralField(grid, out[1].reshape(grid.mode_shape)),
-    )
+def apply_propagator(grid: GridSpec, state: np.ndarray, t: float) -> np.ndarray:
+    """Propagate a state (2, n_modes) by the linear flow for time t."""
+    return np.einsum("mij,jm->im", propagator(grid, t), state)
 
 
 def exact_ou_step(
-    v: PairField, table: PropagatorTable, gen: np.random.Generator
-) -> tuple[PairField, np.ndarray]:
+    state: np.ndarray, table: PropagatorTable, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """One exact transition of the linear stochastic system.
 
     Returns the new state and the sampled half-lattice increments (n_half, 2),
     recorded exactly as added so a replay reproduces the trajectory.
     """
     eta = linear_dynamics.draw_increments(table, gen, 1)[0]
-    state = linear_dynamics.propagate_states(table.S, pair_to_state(v))
+    state = linear_dynamics.propagate_states(table.S, state)
     state = state + linear_dynamics.increments_to_states(table.grid, eta)
-    return state_to_pair(table.grid, state), eta
+    return state, eta
 
 
-def stick_covariance(t: float, s: float, f: PairField) -> float:
+def stick_covariance(grid: GridSpec, t: float, s: float, f: np.ndarray) -> float:
     """Two-time covariance E <z_t, f><z_s, f> of the stochastic convolution.
 
     Evaluates 2 * integral_0^{t^s} sum_n c_n Re[(S(t-u)^T f_n)_2 conj(
     (S(s-u)^T f_n)_2)] du per mode by composite Simpson quadrature, refined
     until the relative change drops below 1e-8 (c_n = 1 for the zero mode,
-    2 for each half-lattice representative).
+    2 for each half-lattice representative); f is a state (2, n_modes).
     """
     if t < 0 or s < 0:
         raise ValueError("times must be nonnegative")
     upper = min(t, s)
     if upper == 0:
         return 0.0
-    grid = f.grid
     half = half_lattice(grid)
-    fu = f.u.coeffs.reshape(-1)[half]
-    fp = f.p.coeffs.reshape(-1)[half]
+    fu = f[0][half]
+    fp = f[1][half]
     weights = np.full(half.size, 2.0)
     weights[0] = 1.0
 
@@ -509,23 +500,73 @@ def sample_rho_rejection(
     return WeightedEnsemble(cfg.grid, states, np.zeros(count))
 
 
-def scaled_to_energy(grid: GridSpec, target: float) -> PairField:
+def scaled_to_energy(grid: GridSpec, target: float) -> np.ndarray:
     """harness._scaled_to_energy with a fixed 200 bisection steps."""
-    base = zero_pair(grid)
+    base = np.zeros((2, grid.n_modes), dtype=complex)
     tup = (1,) + (0,) * (grid.d - 1)
-    shaped = base.u.coeffs
-    shaped.reshape(-1)[flat_index(grid, tup)] = 0.5
-    shaped.reshape(-1)[flat_index(grid, tuple(-c for c in tup))] = 0.5
+    base[0, flat_index(grid, tup)] = 0.5
+    base[0, flat_index(grid, tuple(-c for c in tup))] = 0.5
 
     lo, hi = 0.0, 1.0
-    while energy(_scale_pair(base, hi)) < target:
+    while energy(grid, hi * base) < target:
         hi *= 2
         if hi > 1e9:
             raise ValueError("target energy out of reach")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if energy(_scale_pair(base, mid)) < target:
+        if energy(grid, mid * base) < target:
             lo = mid
         else:
             hi = mid
-    return _scale_pair(base, 0.5 * (lo + hi))
+    return 0.5 * (lo + hi) * base
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers with no library twin
+# ---------------------------------------------------------------------------
+
+
+def scatter_half(grid: GridSpec, half_values: np.ndarray) -> np.ndarray:
+    """Build full Hermitian coefficients (..., *mode_shape) from values on the
+    half lattice (..., n_half); the zero-mode entry is forced real."""
+    half, mirr = half_lattice(grid), mirror_of_half(grid)
+    out = np.zeros(half_values.shape[:-1] + (grid.n_modes,), dtype=complex)
+    vals = half_values.astype(complex).copy()
+    vals[..., 0] = vals[..., 0].real
+    out[..., half] = vals
+    out[..., mirr] = np.conj(vals)
+    return out.reshape(half_values.shape[:-1] + grid.mode_shape)
+
+
+def sample_mu(grid: GridSpec, gen: np.random.Generator) -> np.ndarray:
+    """One exact draw from the Gaussian base measure, a state (2, n_modes)."""
+    return sample_mu_states(grid, gen, 1)[0]
+
+
+def interaction(coeffs: np.ndarray, cfg: GibbsConfig) -> float:
+    """Interaction of one displacement's coefficients (mode shape or flat);
+    the log density is -interaction."""
+    state = np.zeros((2, cfg.grid.n_modes), dtype=complex)
+    state[0] = np.asarray(coeffs).reshape(-1)
+    return float(interaction_states(state[None], cfg)[0])
+
+
+def combine_noise(path: NoisePath, factor: int) -> NoisePath:
+    """Aggregate increments into steps of size factor*h, exactly.
+
+    The linear transition over a coarse step equals S(h)^{factor} plus the
+    coarse increment sum_j S((factor-1-j) h) eta_j, so coarse trajectories
+    built from the combined path agree with fine ones at shared times to
+    rounding.
+    """
+    if factor < 1:
+        raise ValueError("factor must be a positive integer")
+    if path.n_steps % factor:
+        raise ValueError("n_steps is not divisible by the aggregation factor")
+    half = half_lattice(path.grid)
+    powers = np.empty((factor, half.size, 2, 2))
+    for j in range(factor):
+        powers[j] = propagator(path.grid, (factor - 1 - j) * path.h)[half]
+    blocks = path.increments.reshape(path.n_steps // factor, factor, half.size, 2)
+    out = np.einsum("jmab,kjmb->kma", powers, blocks)
+    return NoisePath(path.grid, factor * path.h, out, path.seed)

@@ -26,12 +26,9 @@ from gibbsdyn.harness import ExperimentConfig, report_to_json, run_experiment
 from gibbsdyn.linear_dynamics import (
     NoisePath,
     build_table,
-    combine_noise,
     draw_increments,
     increments_to_states,
-    pair_to_state,
     propagate_states,
-    state_to_pair,
     states_to_increment_form,
     xalpha_norm,
 )
@@ -41,9 +38,8 @@ from gibbsdyn.spectral import (
     half_lattice,
     omega2,
     sobolev_pair_norm,
-    zero_pair,
 )
-from oracles import picard_solve
+from oracles import combine_noise, picard_solve
 
 from dataclasses import replace
 
@@ -244,11 +240,10 @@ def test_criterion_05_control_reconstruction():
     nh = half_lattice(grid).size
     vals = gen.standard_normal((nh, 2)) + 1j * gen.standard_normal((nh, 2))
     vals[0] = vals[0].real  # Hermitian target: real zero mode
-    target = state_to_pair(grid, increments_to_states(grid, vals))
+    target = increments_to_states(grid, vals)
 
-    ctrl = right_inverse(target, 1.0, steps=2048)
-    image = forward_map(ctrl)
-    got, want = pair_to_state(image), pair_to_state(target)
+    ctrl = right_inverse(grid, target, 1.0, steps=2048)
+    got, want = forward_map(ctrl), target
     residual = float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
     assert residual <= 1e-6
 
@@ -337,7 +332,6 @@ def test_criterion_08_integrator_order():
     incs = draw_increments(table, rng.stream(7, 0), round(T / h_fine))
     master = NoisePath(grid, h_fine, incs)
     u0_state = sample_mu_states(grid, rng.stream(7, 1), 1)[0]
-    u0 = state_to_pair(grid, u0_state)
 
     # reference: the exact linear path on the fine grid plus the Picard
     # remainder, so both solvers see the identical noise realization
@@ -348,16 +342,16 @@ def test_criterion_08_integrator_order():
         z[k + 1] = propagate_states(table.S, z[k]) + increments_to_states(grid, incs[k])
     cfg_ref = FlowConfig(grid=grid, N=N, gamma=gamma, h=h_fine, T=T)
     v_ref = picard_solve(None, z, cfg_ref)
-    u_ref = pair_to_state(v_ref[-1]) + z[-1]
+    u_ref = v_ref[-1] + z[-1]
 
     errs, hs = [], []
     for k in (6, 7, 8, 9, 10):
         h = 2.0 ** -k
         coarse = combine_noise(master, 2 ** (11 - k))  # spacing h/2, exactly
         cfg = FlowConfig(grid=grid, N=N, gamma=gamma, h=h, T=T)
-        traj = evolve(u0, cfg, noise_path=coarse, thin_every=cfg.n_steps)
-        diff = pair_to_state(traj.states[-1]) - u_ref
-        errs.append(sobolev_pair_norm(state_to_pair(grid, diff), grid.s / 2))
+        traj = evolve(u0_state, cfg, noise_path=coarse, thin_every=cfg.n_steps)
+        diff = traj.states[-1] - u_ref
+        errs.append(float(sobolev_pair_norm(grid, diff, grid.s / 2)))
         hs.append(h)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     assert slope >= 1.0
@@ -433,11 +427,10 @@ def test_criterion_11_xalpha_scaling():
     alpha = 0.4
     ratios = []
     for n in (1, 2, 4, 8):
-        pair = zero_pair(grid)
-        c = pair.u.coeffs.reshape(-1)
-        c[flat_index(grid, (n,))] = 0.5
-        c[flat_index(grid, (-n,))] = 0.5
-        ratios.append(xalpha_norm(pair, alpha) / (1.0 + n * n) ** (alpha / 2.0))
+        state = np.zeros((2, grid.n_modes), dtype=complex)
+        state[0, flat_index(grid, (n,))] = 0.5
+        state[0, flat_index(grid, (-n,))] = 0.5
+        ratios.append(xalpha_norm(grid, state, alpha) / (1.0 + n * n) ** (alpha / 2.0))
     spread = max(ratios) / min(ratios)
     assert spread <= 2.0
     took = elapsed()

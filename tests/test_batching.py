@@ -11,23 +11,22 @@ import numpy as np
 import pytest
 
 import oracles
-from gibbsdyn import flow, linear_dynamics, rng
+from gibbsdyn import flow, linear_dynamics, rng, spectral
 from gibbsdyn.flow import ENERGY_CEILING, FlowConfig, energy_monitor, evolve, evolve_ensemble
 from gibbsdyn.gibbs import sample_mu_states
-from gibbsdyn.linear_dynamics import pair_to_state, propagator, xalpha_norm
+from gibbsdyn.linear_dynamics import propagator, xalpha_norm
 from gibbsdyn.observables import resolve_battery
 from gibbsdyn.spectral import (
     GridSpec,
+    bracket2,
     flat_index,
     holder_batch_rows,
     holder_norm,
-    holder_norm_field,
-    holder_norm_states,
     next_fast_len,
-    zero_pair,
+    sobolev_pair_norm,
 )
 
-from conftest import random_pair
+from conftest import random_state, zero_state
 
 BATTERY = ("l2_u", "l2_ut", "quartic", "mode_re:1", "holder:0.4")
 GRIDS = {1: GridSpec(1, 18, 2.0), 2: GridSpec(2, 10, 3.0), 3: GridSpec(3, 10, 4.0)}
@@ -99,7 +98,7 @@ def test_ensemble_final_sample_off_the_thinning_grid():
 
 def assert_reports_equal(got, want) -> None:
     for field in ("times", "energies", "sup_energy", "band", "decay_rate",
-                  "envelope_constant", "blowup_time", "fit_window"):
+                  "envelope_constant", "blowup_time", "fit_window", "fitted"):
         assert same(getattr(got, field), getattr(want, field)), field
 
 
@@ -107,14 +106,14 @@ def assert_reports_equal(got, want) -> None:
 def test_energy_report_matches_per_state_loop(d):
     grid = GRIDS[d]
     cfg = FlowConfig(grid, CUBES[d], 1.0, 0.05, 6.0, record_noise=True)
-    v0 = zero_pair(grid)
+    v0 = zero_state(grid)
     tup = (1,) + (0,) * (d - 1)
-    v0.u.coeffs.reshape(-1)[flat_index(grid, tup)] = 3.0
-    v0.u.coeffs.reshape(-1)[flat_index(grid, tuple(-c for c in tup))] = 3.0
-    u0 = random_pair(grid, np.random.default_rng(4))
+    v0[0, flat_index(grid, tup)] = 3.0
+    v0[0, flat_index(grid, tuple(-c for c in tup))] = 3.0
+    u0 = random_state(grid, np.random.default_rng(4))
     traj = evolve(u0, cfg, np.random.default_rng(11), initial_remainder=v0, thin_every=3)
     assert traj.blowup_time is None
-    assert same(traj.energies, [flow.energy(v) for v in traj.v_states()])
+    assert same(traj.energies, [oracles.energy(grid, v) for v in traj.v_states()])
     assert_reports_equal(energy_monitor(traj, 0.4), oracles.energy_report(traj, 0.4))
 
 
@@ -126,15 +125,15 @@ def test_energy_report_matches_per_state_loop_at_blowup(gamma, thin, finite):
     # the remainder non-finite, which the blowup probe short-circuits on
     grid = GRIDS[1]
     cfg = FlowConfig(grid, 4, gamma, 0.05, 3.0, record_noise=True)
-    big = zero_pair(grid)
-    big.u.coeffs[flat_index(grid, (0,))] = 3e4
-    traj = evolve(zero_pair(grid), cfg, np.random.default_rng(3), initial_remainder=big, thin_every=thin)
+    big = zero_state(grid)
+    big[0, flat_index(grid, (0,))] = 3e4
+    traj = evolve(zero_state(grid), cfg, np.random.default_rng(3), initial_remainder=big, thin_every=thin)
     assert traj.blowup_time is not None
-    last = pair_to_state(traj.v_states()[-1])
+    last = traj.v_states()[-1]
     assert bool(np.isfinite(last).all()) == finite
     if finite:
         assert traj.energies[-1] > ENERGY_CEILING
-    assert same(traj.energies, [flow.energy(v) for v in traj.v_states()])
+    assert same(traj.energies, [oracles.energy(grid, v) for v in traj.v_states()])
     assert_reports_equal(energy_monitor(traj, 0.4), oracles.energy_report(traj, 0.4))
 
 
@@ -145,17 +144,17 @@ def test_finite_remainder_with_nan_energy_is_a_blowup():
     # NaN (an infinite |u|^2 times the zero mode's zero |n|^s weight)
     grid = GRIDS[1]
     cfg = FlowConfig(grid, 4, 1.0, 0.05, 3.0, record_noise=True)
-    big = zero_pair(grid)
-    big.u.coeffs[flat_index(grid, (0,))] = 3e4
-    traj = evolve(zero_pair(grid), cfg, np.random.default_rng(3), initial_remainder=big, thin_every=4)
+    big = zero_state(grid)
+    big[0, flat_index(grid, (0,))] = 3e4
+    traj = evolve(zero_state(grid), cfg, np.random.default_rng(3), initial_remainder=big, thin_every=4)
     assert traj.blowup_time == 0.2
-    assert np.isfinite(pair_to_state(traj.v_states()[-1])).all()
+    assert np.isfinite(traj.v_states()[-1]).all()
     assert np.isnan(traj.energies[-1])
 
 
 def test_unrecorded_trajectory_has_no_energies():
     cfg = FlowConfig(GRIDS[1], 4, 1.0, 0.05, 0.5)
-    traj = evolve(zero_pair(cfg.grid), cfg, np.random.default_rng(1))
+    traj = evolve(zero_state(cfg.grid), cfg, np.random.default_rng(1))
     assert traj.energies is None
     with pytest.raises(ValueError):
         energy_monitor(traj, 0.4)
@@ -170,16 +169,57 @@ def test_unrecorded_trajectory_has_no_energies():
 def test_holder_norms_match_per_field_loop(d):
     grid = GRIDS[d]
     gen = np.random.default_rng(d)
-    pairs = [random_pair(grid, gen) for _ in range(4)]
-    states = np.stack([pair_to_state(v) for v in pairs])
-    batched = holder_norm_states(grid, states, 0.4)
-    for i, v in enumerate(pairs):
-        want = oracles.holder_norm(v, 0.4)
+    states = np.stack([random_state(grid, gen) for _ in range(4)])
+    batched = holder_norm(grid, states, 0.4)
+    for i, v in enumerate(states):
+        want = oracles.holder_norm(grid, v, 0.4)
         assert batched[i] == want
-        assert holder_norm(v, 0.4) == want
-        assert holder_norm_field(v.u, 0.7) == oracles.holder_norm_field(v.u, 0.7)
+        assert holder_norm(grid, v, 0.4) == want
     values = resolve_battery(("holder:0.4",), grid)["holder:0.4"](grid, states)
-    assert np.array_equal(values, [oracles.holder_norm_field(v.u, 0.4) for v in pairs])
+    assert np.array_equal(values, [oracles.holder_norm_field(grid, v[0], 0.4) for v in states])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_holder_norm_chunks_leading_axes(d, monkeypatch):
+    # more states than one transform holds, in two leading axes: every
+    # chunk boundary falls somewhere, and each norm is the per-state one
+    grid = GRIDS[d]
+    gen = np.random.default_rng(30 + d)
+    rows = holder_batch_rows(grid)
+    count = 2 * rows + 3
+    states = np.stack([random_state(grid, gen) for _ in range(count)])
+    seen = []
+    holder_sup = spectral.holder_sup
+
+    def record(grid, coeffs, beta, oversample=2):
+        seen.append(coeffs.shape[0])
+        return holder_sup(grid, coeffs, beta, oversample)
+
+    monkeypatch.setattr(spectral, "holder_sup", record)
+    got = holder_norm(grid, states.reshape((count, 1, 2, grid.n_modes)), 0.4)
+    assert got.shape == (count, 1)
+    assert max(seen) <= rows and sum(seen) == 2 * count
+    for i in range(count):
+        assert got[i, 0] == oracles.holder_norm(grid, states[i], 0.4)
+    assert holder_norm(grid, states[:0], 0.4).shape == (0,)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sobolev_norms_match_per_state_sum(d):
+    # the per-state form sums each component over the mode cube's shape
+    grid = GRIDS[d]
+    gen = np.random.default_rng(40 + d)
+    states = np.stack([random_state(grid, gen) for _ in range(5)])
+    br2 = bracket2(grid)
+    for alpha in (0.4, grid.s / 2):
+        got = sobolev_pair_norm(grid, states, alpha)
+        for i, v in enumerate(states):
+            u, p = v[0].reshape(grid.mode_shape), v[1].reshape(grid.mode_shape)
+            want = float(np.sqrt(
+                np.sum(br2**alpha * np.abs(u) ** 2)
+                + np.sum(br2 ** (alpha - grid.s / 2.0) * np.abs(p) ** 2)
+            ))
+            assert got[i] == want
 
 
 @pytest.mark.parametrize(
@@ -189,9 +229,9 @@ def test_xalpha_norm_matches_per_state_loop(d, horizon, dt):
     # at d=3 a batch holds holder_batch_rows(grid) = 5 states, so the
     # propagation chain crosses many batch boundaries
     grid = GRIDS[d]
-    v = random_pair(grid, np.random.default_rng(10 + d))
-    want = oracles.xalpha_norm(v, 0.4, horizon, dt)
-    assert xalpha_norm(v, 0.4, horizon, dt) == want
+    v = random_state(grid, np.random.default_rng(10 + d))
+    want = oracles.xalpha_norm(grid, v, 0.4, horizon, dt)
+    assert xalpha_norm(grid, v, 0.4, horizon, dt) == want
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -199,18 +239,18 @@ def test_xalpha_norm_takes_every_propagated_state_once(d, monkeypatch):
     # the sweep's maximum usually sits at t = 0, so check the states it
     # hands to the batched norm: the propagation chain, in time order
     grid = GRIDS[d]
-    v = random_pair(grid, np.random.default_rng(20 + d))
+    v = random_state(grid, np.random.default_rng(20 + d))
     seen = []
 
     def record(grid, states, beta):
         seen.append(states.copy())
-        return holder_norm_states(grid, states, beta)
+        return holder_norm(grid, states, beta)
 
-    monkeypatch.setattr(linear_dynamics, "holder_norm_states", record)
-    xalpha_norm(v, 0.4, 2.0, 0.05)
+    monkeypatch.setattr(linear_dynamics, "holder_norm", record)
+    xalpha_norm(grid, v, 0.4, 2.0, 0.05)
     assert max(len(b) for b in seen) <= holder_batch_rows(grid)
     S = propagator(grid, 0.05)
-    want = [pair_to_state(v)]
+    want = [v]
     for _ in range(40):
         want.append(oracles.propagate_states(S, want[-1]))
     assert np.array_equal(np.concatenate(seen), np.stack(want))

@@ -20,7 +20,7 @@ from gibbsdyn.cli import (
 )
 from gibbsdyn.container import load_ensemble, load_noise
 from gibbsdyn.flow import FlowConfig
-from gibbsdyn.gibbs import GibbsConfig
+from gibbsdyn.gibbs import GibbsConfig, estimate
 from gibbsdyn.harness import ExperimentConfig
 from gibbsdyn.spectral import GridSpec, omega2
 
@@ -233,6 +233,56 @@ def test_inconclusive_exits_3(tmp_path, capsys):
     assert "verdict: inconclusive" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # initial energy 200 against a band of about 950
+        ["grid.d=2", "grid.M=10", "flow.N=2", "grid.s=3.0"],
+        ["grid.d=3", "grid.M=10", "flow.N=2", "flow.T=5.0", "experiment.envelope_horizon=2.0"],
+    ],
+    ids=["d2", "d3"],
+)
+def test_coupling_without_a_decay_fit_is_inconclusive(tmp_path, capsys, overrides):
+    # with the initial energy inside twice the band there is no transient to
+    # fit: decay_rate reads 0 and fails its gate, and the run says so
+    args = [x for item in overrides for x in ("--set", item)]
+    rc = run(tmp_path, "coupling", *args)
+    assert rc == 3
+    assert "verdict: inconclusive" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "coupling_report.json").read_text())
+    gates = {g["name"]: g for g in doc["gates"]}
+    assert set(gates) == {"band_limited", "sup_energy", "no_blowup", "decay_rate", "envelope_slope"}
+    assert gates["decay_rate"]["value"] == 0.0 and not gates["decay_rate"]["passed"]
+    assert gates["decay_rate"]["threshold"] == 0.2
+    assert all(g["passed"] for name, g in gates.items() if name != "decay_rate")
+    assert doc["stats"]["initial_energy"] <= 2 * doc["stats"]["stationary_band"]
+    assert doc["stats"]["fit_window"] == [0.0, 0.0]
+    assert doc["inconclusive"] is True
+
+
+def test_linear_passes_at_d3(tmp_path, capsys):
+    rc = run(tmp_path, "linear", "--set", "grid.d=3", "--set", "grid.M=10",
+             "--set", "experiment.ensemble_size=256")
+    assert rc == 0
+    assert "verdict: pass" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "linear_report.json").read_text())
+    assert np.all(np.isfinite(doc["stats"]["difference_norms"]))
+
+
+def test_simulate_at_d3_writes_one_finite_row_per_sample(tmp_path, capsys):
+    rc = run(tmp_path, "simulate", "--set", "grid.d=3", "--set", "grid.M=10",
+             "--set", "flow.N=2", "--set", "flow.T=1.0")
+    assert rc == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "simulate_report.json").read_text())
+    with open(tmp_path / "trajectory.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == doc["stats"]["n_samples"] == 11  # t = 0, 0.1, ..., 1
+    values = np.array([[float(v) for v in row.values()] for row in rows])
+    assert np.all(np.isfinite(values))
+    assert np.allclose(values[:, 0], np.linspace(0.0, 1.0, 11))
+
+
 def test_numerical_failure_exits_70(tmp_path, capsys):
     rc = run(tmp_path, "control", "--set", "control.t=1e-6", "--set", "control.steps=64")
     assert rc == 70
@@ -292,6 +342,8 @@ def test_sample_rho_reports_ess(tmp_path, capsys):
     assert 2.0 <= doc["stats"]["ess"] <= 64.0
     ens = load_ensemble(tmp_path / "ensemble_rho.bin")
     assert np.all(ens.log_weights <= 0.0)
+    # the report's ESS is the estimator's
+    assert doc["stats"]["ess"] == estimate(ens, np.zeros(len(ens)))[2]
 
 
 def test_sample_rejects_unknown_measure(tmp_path, capsys):

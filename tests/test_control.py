@@ -18,16 +18,11 @@ from gibbsdyn.control import (
     shift_noise,
 )
 from gibbsdyn.flow import FlowConfig, evolve
-from gibbsdyn.linear_dynamics import (
-    NoisePath,
-    build_table,
-    draw_increments,
-    pair_to_state,
-)
+from gibbsdyn.linear_dynamics import NoisePath, build_table, draw_increments
 from gibbsdyn.spectral import GridSpec, half_lattice, mode_tuples
 from oracles import mode_matrix
 
-from conftest import random_pair
+from conftest import random_state
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +148,8 @@ def test_forward_map_zero_control():
     grid = GridSpec(d=1, M=10, s=2.0)
     nh = half_lattice(grid).size
     ctrl = ControlPath(grid, 0.1, np.zeros((8, nh), dtype=complex))
-    img = pair_to_state(forward_map(ctrl))
+    img = forward_map(ctrl)
+    assert img.shape == (2, grid.n_modes)
     assert np.all(img == 0)
 
 
@@ -163,7 +159,7 @@ def test_forward_map_matches_quadrature():
     ctrl = random_control(grid, 0.125, 8, gen)
     img = forward_map(ctrl)
     half = half_lattice(grid)
-    got = pair_to_state(img)[:, half].T  # (n_half, 2)
+    got = img[:, half].T  # (n_half, 2)
     want = image_quadrature(ctrl)
     assert np.max(np.abs(got - want)) < 1e-9
 
@@ -174,30 +170,30 @@ def test_forward_map_linear_in_control():
     c1 = random_control(grid, 0.1, 6, gen)
     c2 = random_control(grid, 0.1, 6, gen)
     combo = ControlPath(grid, 0.1, 1.7 * c1.values + c2.values)
-    lhs = pair_to_state(forward_map(combo))
-    rhs = 1.7 * pair_to_state(forward_map(c1)) + pair_to_state(forward_map(c2))
+    lhs = forward_map(combo)
+    rhs = 1.7 * forward_map(c1) + forward_map(c2)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_right_inverse_reconstructs_target():
     grid = GridSpec(d=1, M=18, s=2.0)
     gen = rng.stream(20260819, 43)
-    w = random_pair(grid, gen, decay=1.0)
-    ctrl = right_inverse(w, 1.0, 256)
+    w = random_state(grid, gen, decay=1.0)
+    ctrl = right_inverse(grid, w, 1.0, 256)
     assert ctrl.n_steps == 256
     assert np.max(np.abs(ctrl.values[:, 0].imag)) < 1e-12
     img = forward_map(ctrl)
-    err = np.max(np.abs(pair_to_state(img) - pair_to_state(w)))
-    scale = np.max(np.abs(pair_to_state(w)))
+    err = np.max(np.abs(img - w))
+    scale = np.max(np.abs(w))
     assert err < 1e-9 * scale
 
 
 def test_right_inverse_is_minimum_norm():
     grid = GridSpec(d=1, M=10, s=2.0)
     gen = rng.stream(20260819, 44)
-    w = random_pair(grid, gen, decay=1.0)
+    w = random_state(grid, gen, decay=1.0)
     steps = 64
-    ctrl = right_inverse(w, 0.8, steps)
+    ctrl = right_inverse(grid, w, 0.8, steps)
     from gibbsdyn.control import _step_columns
 
     cols = _step_columns(grid, 0.8 / steps, steps)
@@ -211,7 +207,7 @@ def test_right_inverse_is_minimum_norm():
     perturbed[:, 1] += 0.5 * null_space(cols[::-1][:, 1, :].T)[:, 0]
     other = ControlPath(grid, ctrl.h, perturbed)
     assert np.allclose(
-        pair_to_state(forward_map(other)), pair_to_state(forward_map(ctrl)), atol=1e-10
+        forward_map(other), forward_map(ctrl), atol=1e-10
     )
     assert np.linalg.norm(other.values) > np.linalg.norm(ctrl.values)
 
@@ -219,19 +215,21 @@ def test_right_inverse_is_minimum_norm():
 def test_right_inverse_degenerate_horizon_raises():
     grid = GridSpec(d=1, M=18, s=2.0)
     gen = rng.stream(20260819, 45)
-    w = random_pair(grid, gen, decay=1.0)
+    w = random_state(grid, gen, decay=1.0)
     with pytest.raises(NumericalError):
-        right_inverse(w, 1e-6, 64)
+        right_inverse(grid, w, 1e-6, 64)
 
 
 def test_right_inverse_validates_arguments():
     grid = GridSpec(d=1, M=10, s=2.0)
     gen = rng.stream(20260819, 46)
-    w = random_pair(grid, gen, decay=1.0)
+    w = random_state(grid, gen, decay=1.0)
     with pytest.raises(ValueError):
-        right_inverse(w, -1.0, 128)
+        right_inverse(grid, w, -1.0, 128)
     with pytest.raises(ValueError):
-        right_inverse(w, 1.0, 32)
+        right_inverse(grid, w, 1.0, 32)
+    with pytest.raises(ValueError, match="shape"):
+        right_inverse(grid, w[:, :-1], 1.0, 128)
 
 
 def test_control_path_validation():
@@ -255,12 +253,12 @@ def test_shift_noise_adds_exact_image_linear_flow():
     grid = GridSpec(d=1, M=18, s=2.0)
     cfg = FlowConfig(grid=grid, N=4, gamma=0.0, h=0.05, T=0.5, record_noise=True)
     gen = rng.stream(20260819, 47)
-    u0 = random_pair(grid, gen, decay=1.5)
+    u0 = random_state(grid, gen, decay=1.5)
     traj1 = evolve(u0, cfg, rng.stream(20260819, 48))
     ctrl = random_control(grid, cfg.h / 2, 2 * cfg.n_steps, gen, amplitude=0.4)
     traj2 = evolve(u0, cfg, noise_path=shift_noise(traj1.noise, ctrl))
-    diff = pair_to_state(traj2.states[-1]) - pair_to_state(traj1.states[-1])
-    image = pair_to_state(forward_map(ctrl))
+    diff = traj2.states[-1] - traj1.states[-1]
+    image = forward_map(ctrl)
     scale = np.max(np.abs(image))
     assert np.max(np.abs(diff - image)) < 1e-11 * max(scale, 1.0)
 
@@ -269,16 +267,16 @@ def test_shift_noise_moves_linear_part_of_nonlinear_flow():
     grid = GridSpec(d=1, M=18, s=2.0)
     cfg = FlowConfig(grid=grid, N=4, gamma=0.5, h=0.05, T=0.5, record_noise=True)
     gen = rng.stream(20260819, 49)
-    u0 = random_pair(grid, gen, decay=1.5)
+    u0 = random_state(grid, gen, decay=1.5)
     traj1 = evolve(u0, cfg, rng.stream(20260819, 50))
     ctrl = random_control(grid, cfg.h / 2, 2 * cfg.n_steps, gen, amplitude=0.4)
     traj2 = evolve(u0, cfg, noise_path=shift_noise(traj1.noise, ctrl))
-    diff = pair_to_state(traj2.linear_states[-1]) - pair_to_state(traj1.linear_states[-1])
-    image = pair_to_state(forward_map(ctrl))
+    diff = traj2.linear_states[-1] - traj1.linear_states[-1]
+    image = forward_map(ctrl)
     scale = np.max(np.abs(image))
     assert np.max(np.abs(diff - image)) < 1e-11 * max(scale, 1.0)
     # the nonlinear states move too, but not by the bare image
-    nl_diff = pair_to_state(traj2.states[-1]) - pair_to_state(traj1.states[-1])
+    nl_diff = traj2.states[-1] - traj1.states[-1]
     assert np.max(np.abs(nl_diff - image)) > 1e-6
 
 

@@ -11,29 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_field
+from conftest import is_hermitian, random_hermitian_coeffs
 from gibbsdyn.gibbs import (
     GibbsConfig,
     WeightedEnsemble,
     estimate,
-    interaction,
     interaction_states,
-    sample_mu,
     sample_mu_states,
     sample_rho,
 )
 from gibbsdyn.linear_dynamics import states_to_increment_form
 from gibbsdyn.spectral import (
     GridSpec,
-    SpectralField,
+    coeffs_to_grid,
     flat_index,
     half_lattice,
-    l2_norm_sq,
     omega2,
-    to_physical,
-    zero_field,
 )
-from oracles import sample_rho_rejection
+from oracles import interaction, sample_mu, sample_rho_rejection
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,8 +74,8 @@ def test_mu_covariance_identity(rng):
     gen = np.random.default_rng(217)
     n = 100000
     states = sample_mu_states(grid, gen, n)
-    fu = random_field(grid, rng).coeffs.reshape(-1)
-    fp = random_field(grid, rng).coeffs.reshape(-1)
+    fu = random_hermitian_coeffs(grid, rng).reshape(-1)
+    fp = random_hermitian_coeffs(grid, rng).reshape(-1)
     pairings = (
         np.einsum("bm,m->b", states[:, 0, :], np.conj(fu))
         + np.einsum("bm,m->b", states[:, 1, :], np.conj(fp))
@@ -94,7 +89,8 @@ def test_mu_covariance_identity(rng):
 def test_sample_mu_single_is_hermitian():
     grid = GridSpec(2, 7, 3.0)
     v = sample_mu(grid, np.random.default_rng(0))
-    assert v.u.is_hermitian(1e-12) and v.p.is_hermitian(1e-12)
+    assert v.shape == (2, grid.n_modes)
+    assert is_hermitian(grid, v, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +100,11 @@ def test_sample_mu_single_is_hermitian():
 
 def test_interaction_trivial_cases(rng):
     grid = GridSpec(1, 9, 2.0)
-    u = random_field(grid, rng)
+    u = random_hermitian_coeffs(grid, rng)
     assert interaction(u, GibbsConfig(grid, 3, 0.0)) == 0.0
     assert interaction(u, GibbsConfig(grid, -1, 1.0)) == 0.0
-    const = zero_field(grid)
-    const.coeffs[flat_index(grid, (0,))] = 1.3
+    const = np.zeros(grid.mode_shape, dtype=complex)
+    const[flat_index(grid, (0,))] = 1.3
     got = interaction(const, GibbsConfig(grid, 2, 1.0))
     assert np.isclose(got, 1.3**4 / 4.0, rtol=1e-12)
 
@@ -117,9 +113,9 @@ def test_interaction_single_mode():
     # u = 2c cos(nx): mean of u^4 is 6 c^4
     grid = GridSpec(1, 11, 2.0)
     c = 0.7
-    u = zero_field(grid)
-    u.coeffs[flat_index(grid, (2,))] = c
-    u.coeffs[flat_index(grid, (-2,))] = c
+    u = np.zeros(grid.mode_shape, dtype=complex)
+    u[flat_index(grid, (2,))] = c
+    u[flat_index(grid, (-2,))] = c
     gamma = 0.9
     got = interaction(u, GibbsConfig(grid, 2, gamma))
     assert np.isclose(got, gamma / 4.0 * 6 * c**4, rtol=1e-12)
@@ -127,20 +123,20 @@ def test_interaction_single_mode():
 
 def test_interaction_grid_quadrature_oracle(rng):
     grid = GridSpec(1, 11, 2.0)
-    u = random_field(grid, rng)
+    u = random_hermitian_coeffs(grid, rng)
     N = 3
     cfg = GibbsConfig(grid, N, 1.7)
-    masked = u.coeffs.copy()
+    masked = u.copy()
     modes = np.arange(-grid.K, grid.K + 1)
     masked[np.abs(modes) > N] = 0.0
-    vals = to_physical(SpectralField(grid, masked), 4096)
+    vals = coeffs_to_grid(grid, masked, 4096)
     want = cfg.gamma / 4.0 * np.mean(vals**4)
     assert np.isclose(interaction(u, cfg), want, rtol=1e-10)
 
 
 def test_interaction_truncation_convergence(rng):
     grid = GridSpec(1, 17, 4.0)
-    u = random_field(grid, rng, decay=2.0)
+    u = random_hermitian_coeffs(grid, rng, decay=2.0)
     full = interaction(u, GibbsConfig(grid, grid.K, 1.0))
     errs = [abs(interaction(u, GibbsConfig(grid, N, 1.0)) - full) for N in range(grid.K + 1)]
     assert errs[-1] == 0.0
@@ -183,16 +179,6 @@ def test_estimate_half_zero_weights():
     ens = WeightedEnsemble(grid, states, lw)
     _, _, ess = estimate(ens, np.ones(n))
     assert ess == pytest.approx(n / 2)
-
-
-def test_estimate_callable_matches_array():
-    grid = GridSpec(1, 9, 2.0)
-    n = 16
-    states = sample_mu_states(grid, np.random.default_rng(7), n)
-    ens = WeightedEnsemble(grid, states, -np.linspace(0, 1, n))
-    by_call = estimate(ens, lambda v: l2_norm_sq(v.u))
-    by_arr = estimate(ens, np.array([l2_norm_sq(ens.pair(i).u) for i in range(n)]))
-    assert by_call == pytest.approx(by_arr)
 
 
 def test_estimate_errors():

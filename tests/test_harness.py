@@ -330,9 +330,22 @@ def test_coupling_past_ceiling_flags_blowup():
         coupling_config(target_energy=5e12, envelope_horizon=1.0,
                         flow=FlowConfig(grid=GRID18, N=4, gamma=1.0, h=0.05, T=2.0, record_noise=True))
     )
-    assert rep.verdict == "fail"
+    # a blowup leaves no transient to fit, but the run fails, not inconclusive
+    assert rep.verdict == "fail" and not rep.inconclusive
     blow = {g.name: g for g in rep.gates}["no_blowup"]
     assert not blow.passed
+
+
+def test_coupling_band_limit_with_the_cube_covering_the_grid():
+    # gamma = 0 allows N = K: no mode lies outside the cube, so the
+    # band-limit residual is 0 rather than a reduction over no modes
+    rep = run_experiment(
+        coupling_config(envelope_horizon=1.0,
+                        flow=FlowConfig(grid=GRID18, N=GRID18.K, gamma=0.0, h=0.05, T=2.0,
+                                        record_noise=True))
+    )
+    assert rep.stats["band_limit_residual"] == 0.0
+    assert {g.name: g for g in rep.gates}["band_limited"].passed
 
 
 @pytest.mark.parametrize(
@@ -342,12 +355,14 @@ def test_scaled_to_energy_stops_when_bisection_stalls(grid, monkeypatch):
     # stopping once the midpoint no longer moves gives the fixed 200-step
     # bisection's bits with about a third of its energy evaluations
     calls = []
-    energy = harness.energy
-    monkeypatch.setattr(harness, "energy", lambda v: calls.append(1) or energy(v))
+    energy_states = harness.energy_states
+    monkeypatch.setattr(
+        harness, "energy_states", lambda g, s: calls.append(1) or energy_states(g, s)
+    )
     for target in (1e-3, 1e-1, 1.0, 200.0**0.25, 200.0, 1e3):
         calls.clear()
         got = harness._scaled_to_energy(grid, target)
         want = oracles.scaled_to_energy(grid, target)
-        assert np.array_equal(got.u.coeffs, want.u.coeffs)
-        assert np.array_equal(got.p.coeffs, want.p.coeffs)
+        assert got.shape == (2, grid.n_modes)
+        assert np.array_equal(got, want)
         assert len(calls) < 80

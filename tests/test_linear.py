@@ -10,19 +10,16 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from conftest import random_pair
+from conftest import is_hermitian, random_state, zero_state
 from gibbsdyn.linear_dynamics import (
     NoisePath,
     build_table,
-    combine_noise,
     draw_increments,
     increments_to_states,
     lam,
-    pair_to_state,
     propagate_states,
     propagator,
     sample_stick,
-    state_to_pair,
     stationary_covariance,
     states_to_increment_form,
     step_covariance,
@@ -30,23 +27,24 @@ from gibbsdyn.linear_dynamics import (
 )
 from gibbsdyn.spectral import (
     GridSpec,
-    PairField,
-    SpectralField,
     bracket2,
     flat_index,
     half_lattice,
-    pair_inner,
     sobolev_pair_norm,
-    zero_field,
-    zero_pair,
 )
 from oracles import (
     apply_propagator,
+    combine_noise,
     exact_ou_step,
     generator_matrices,
     mode_matrix,
     stick_covariance,
 )
+
+
+def pair_inner(v: np.ndarray, w: np.ndarray) -> float:
+    """Real L2 inner product of two states (2, n_modes), both components."""
+    return float(np.sum(v[0] * np.conj(w[0])).real) + float(np.sum(v[1] * np.conj(w[1])).real)
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +96,12 @@ def test_semigroup_and_determinant(rng):
 
 def test_apply_propagator_decay(rng):
     grid = GridSpec(1, 13, 2.0)
-    v = random_pair(grid, rng)
-    assert np.allclose(pair_to_state(apply_propagator(v, 0.0)), pair_to_state(v))
+    v = random_state(grid, rng)
+    assert np.allclose(apply_propagator(grid, v, 0.0), v)
     for alpha in (0.0, 0.5, 1.0):
-        nv = sobolev_pair_norm(v, alpha)
+        nv = sobolev_pair_norm(grid, v, alpha)
         for t in np.linspace(0.0, 10.0, 21):
-            assert sobolev_pair_norm(apply_propagator(v, t), alpha) <= 3.0 * np.exp(-t / 2) * nv
+            assert sobolev_pair_norm(grid, apply_propagator(grid, v, t), alpha) <= 3.0 * np.exp(-t / 2) * nv
 
 
 def test_decay_constant_by_opnorm_sweep():
@@ -286,11 +284,11 @@ def test_stationarity_preserved():
 def test_exact_ou_step_records_increment(rng):
     grid = GridSpec(1, 9, 2.0)
     table = build_table(grid, 0.25)
-    v = random_pair(grid, rng)
+    v = random_state(grid, rng)
     out, eta = exact_ou_step(v, table, np.random.default_rng(3))
-    recon = propagate_states(table.S, pair_to_state(v)) + increments_to_states(grid, eta)
-    assert np.max(np.abs(pair_to_state(out) - recon)) < 1e-14
-    assert out.u.is_hermitian(1e-12) and out.p.is_hermitian(1e-12)
+    recon = propagate_states(table.S, v) + increments_to_states(grid, eta)
+    assert np.max(np.abs(out - recon)) < 1e-14
+    assert is_hermitian(grid, out, 1e-12)
 
 
 def test_draw_increments_stream_stability():
@@ -313,8 +311,21 @@ def test_stick_zero_time():
     grid = GridSpec(1, 9, 2.0)
     table = build_table(grid, 0.1)
     z, path = sample_stick(0.0, table, np.random.default_rng(0))
-    assert np.all(pair_to_state(z) == 0)
+    assert z.shape == (2, grid.n_modes)
+    assert np.all(z == 0)
     assert path.n_steps == 0
+
+
+def test_stick_replays_its_path():
+    grid = GridSpec(2, 7, 3.0)
+    table = build_table(grid, 0.1)
+    z, path = sample_stick(0.5, table, np.random.default_rng(1))
+    assert path.n_steps == 5
+    state = np.zeros((2, grid.n_modes), dtype=complex)
+    for k in range(path.n_steps):
+        state = propagate_states(table.S, state) + increments_to_states(grid, path.increments[k])
+    assert np.array_equal(z, state)
+    assert is_hermitian(grid, z, 1e-14)
 
 
 def test_stick_stationary_variance():
@@ -337,15 +348,15 @@ def test_stick_stationary_variance():
 
 def test_stick_covariance_trivial_and_single_mode():
     grid = GridSpec(1, 9, 2.0)
-    f = zero_pair(grid)
-    f.u.coeffs[flat_index(grid, (1,))] = 0.3 + 0.1j
-    f.u.coeffs[flat_index(grid, (-1,))] = 0.3 - 0.1j
-    assert stick_covariance(0.0, 3.0, f) == 0.0
-    assert stick_covariance(2.0, 0.0, f) == 0.0
+    f = zero_state(grid)
+    f[0, flat_index(grid, (1,))] = 0.3 + 0.1j
+    f[0, flat_index(grid, (-1,))] = 0.3 - 0.1j
+    assert stick_covariance(grid, 0.0, 3.0, f) == 0.0
+    assert stick_covariance(grid, 2.0, 0.0, f) == 0.0
     # dense-quadrature oracle on the single occupied mode
     t, s = 1.3, 0.9
     m = flat_index(grid, (1,))
-    fc = f.u.coeffs[m]
+    fc = f[0, m]
 
     def g(u, tt):
         S = propagator(grid, tt - u)[m]
@@ -354,7 +365,7 @@ def test_stick_covariance_trivial_and_single_mode():
     want = 2 * 2 * scipy.integrate.quad(
         lambda u: (g(u, t) * np.conj(g(u, s))).real, 0.0, min(t, s), epsabs=1e-12
     )[0]
-    got = stick_covariance(t, s, f)
+    got = stick_covariance(grid, t, s, f)
     assert abs(got - want) < 1e-7 * max(1.0, abs(want))
 
 
@@ -362,7 +373,7 @@ def test_stick_covariance_matches_monte_carlo(rng):
     grid = GridSpec(1, 7, 2.0)
     h = 0.1
     table = build_table(grid, h)
-    f = random_pair(grid, rng)
+    f = random_state(grid, rng)
     t, s = 1.0, 0.6
     kt, ks = round(t / h), round(s / h)
     n = 20000
@@ -376,10 +387,8 @@ def test_stick_covariance_matches_monte_carlo(rng):
             state = propagate_states(table.S, state) + increments_to_states(grid, eta[k])
             if k + 1 == ks:
                 zs = state.copy()
-        prods[i] = pair_inner(state_to_pair(grid, state), f) * pair_inner(
-            state_to_pair(grid, zs), f
-        )
-    want = stick_covariance(t, s, f)
+        prods[i] = pair_inner(state, f) * pair_inner(zs, f)
+    want = stick_covariance(grid, t, s, f)
     se = prods.std(ddof=1) / np.sqrt(n)
     assert abs(prods.mean() - want) < 4 * se
 
@@ -390,12 +399,12 @@ def test_stick_covariance_sobolev_bound(rng):
     br = bracket2(grid)
     worst = 0.0
     for _ in range(5):
-        f = random_pair(grid, rng)
+        f = random_state(grid, rng)
         bound = float(
-            np.sum(br ** (-grid.s / 2) * np.abs(f.u.coeffs) ** 2)
-            + np.sum(np.abs(f.p.coeffs) ** 2)
+            np.sum(br.reshape(-1) ** (-grid.s / 2) * np.abs(f[0]) ** 2)
+            + np.sum(np.abs(f[1]) ** 2)
         )
-        worst = max(worst, stick_covariance(3.0, 3.0, f) / bound)
+        worst = max(worst, stick_covariance(grid, 3.0, 3.0, f) / bound)
     assert worst < 10.0
 
 
@@ -436,7 +445,7 @@ def test_combine_noise_exact(rng):
 
 def test_xalpha_zero():
     grid = GridSpec(1, 9, 2.0)
-    assert xalpha_norm(zero_pair(grid), 0.4) == 0.0
+    assert xalpha_norm(grid, zero_state(grid), 0.4) == 0.0
 
 
 def test_xalpha_single_mode_scaling():
@@ -444,17 +453,17 @@ def test_xalpha_single_mode_scaling():
     alpha = 0.4
     ratios = []
     for n in (1, 2, 4, 8):
-        v = zero_pair(grid)
-        v.u.coeffs[flat_index(grid, (n,))] = 0.5
-        v.u.coeffs[flat_index(grid, (-n,))] = 0.5
-        ratios.append(xalpha_norm(v, alpha) / (1 + n**2) ** (alpha / 2))
+        v = zero_state(grid)
+        v[0, flat_index(grid, (n,))] = 0.5
+        v[0, flat_index(grid, (-n,))] = 0.5
+        ratios.append(xalpha_norm(grid, v, alpha) / (1 + n**2) ** (alpha / 2))
     assert max(ratios) <= 2.0 * min(ratios)
 
 
 def test_xalpha_dominated_by_sobolev(rng):
     grid = GridSpec(1, 9, 2.0)
     for _ in range(3):
-        v = random_pair(grid, rng)
-        assert xalpha_norm(v, 0.3, horizon=10.0, dt=0.1) <= 5.0 * sobolev_pair_norm(
-            v, grid.s / 2 + 0.75
+        v = random_state(grid, rng)
+        assert xalpha_norm(grid, v, 0.3, horizon=10.0, dt=0.1) <= 5.0 * sobolev_pair_norm(
+            grid, v, grid.s / 2 + 0.75
         )

@@ -6,14 +6,8 @@ import pytest
 from gibbsdyn import rng
 from gibbsdyn.gibbs import sample_mu_states
 from gibbsdyn.observables import obs_one, resolve, resolve_battery
-from gibbsdyn.spectral import (
-    TWO_PI,
-    GridSpec,
-    SpectralField,
-    holder_norm_field,
-    quartic_integral,
-    to_physical,
-)
+from gibbsdyn.spectral import TWO_PI, GridSpec, coeffs_to_grid, quartic_integral_coeffs
+from oracles import holder_norm_field
 
 GRID = GridSpec(d=1, M=14, s=2.0)
 
@@ -32,8 +26,8 @@ def test_l2_values_match_physical_means():
     got_u = resolve("l2_u", GRID)(GRID, states)
     got_p = resolve("l2_ut", GRID)(GRID, states)
     for i in range(len(states)):
-        u_phys = to_physical(SpectralField(GRID, states[i, 0].reshape(GRID.mode_shape)))
-        p_phys = to_physical(SpectralField(GRID, states[i, 1].reshape(GRID.mode_shape)))
+        u_phys = coeffs_to_grid(GRID, states[i, 0].reshape(GRID.mode_shape))
+        p_phys = coeffs_to_grid(GRID, states[i, 1].reshape(GRID.mode_shape))
         assert got_u[i] == pytest.approx(np.mean(u_phys**2), rel=1e-12)
         assert got_p[i] == pytest.approx(np.mean(p_phys**2), rel=1e-12)
 
@@ -42,8 +36,8 @@ def test_quartic_matches_field_integral():
     states = _states()
     got = resolve("quartic", GRID)(GRID, states)
     for i in range(len(states)):
-        field = SpectralField(GRID, states[i, 0].reshape(GRID.mode_shape))
-        assert got[i] == pytest.approx(quartic_integral(field) / TWO_PI, rel=1e-12)
+        field = states[i, 0].reshape(GRID.mode_shape)
+        assert got[i] == pytest.approx(quartic_integral_coeffs(GRID, field) / TWO_PI, rel=1e-12)
 
 
 def test_mode_extraction():
@@ -62,8 +56,7 @@ def test_holder_matches_field_norm():
     states = _states()
     got = resolve("holder:0.4", GRID)(GRID, states)
     for i in range(len(states)):
-        field = SpectralField(GRID, states[i, 0].reshape(GRID.mode_shape))
-        assert got[i] == pytest.approx(holder_norm_field(field, 0.4), rel=1e-12)
+        assert got[i] == pytest.approx(holder_norm_field(GRID, states[i, 0], 0.4), rel=1e-12)
 
 
 def test_multidimensional_mode_names():

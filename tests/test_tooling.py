@@ -1,0 +1,56 @@
+"""The repository's tools still find the library: the benchmark's layer
+tracer names, and the quickstart script."""
+
+import importlib
+import importlib.util
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from gibbsdyn.flow import Trajectory, evolve
+from gibbsdyn.observables import resolve
+from gibbsdyn.spectral import GridSpec
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "perfbench" / "layertrace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_layer_resolves():
+    # the tracer wraps each LAYERS name by attribute; a rename must fail here,
+    # not only in a traced benchmark run
+    layers = _layertrace().LAYERS
+    assert layers
+    for qual in layers:
+        mod_name, fn_name = qual.split(".")
+        module = importlib.import_module(f"gibbsdyn.{mod_name}")
+        if qual == "observables.eval":
+            # not an attribute: the callables `resolve` returns
+            assert callable(resolve("l2_u", GridSpec(1, 9, 2.0)))
+            continue
+        assert callable(getattr(module, fn_name, None)), qual
+
+
+def test_evolve_work_counter_inputs():
+    # the tracer's counter for flow.evolve reads cfg as the second positional
+    # argument and blowup_time on the result
+    params = list(inspect.signature(evolve).parameters)
+    assert params[1] == "cfg"
+    assert "blowup_time" in {f.name for f in Trajectory.__dataclass_fields__.values()}
+
+
+def test_quickstart_runs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "quickstart.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "trajectory to T=20.0: 201 samples, no blowup: True" in proc.stdout
