@@ -4,9 +4,10 @@ and report/artifact output.
 One binary, subcommand style.  `sample` writes measure draws to container
 files, `simulate` runs a single trajectory to CSV, the six experiment names
 run the statistical harness, `control` reports a reconstruction residual, and
-`selftest` composes a quick run of every experiment.  Reports are canonical
-JSON (schema-versioned, runtime in a sidecar file so identical (config, seed)
-give byte-identical documents); time series go to RFC-4180 CSV.
+`selftest` composes a quick run of every experiment.  Each subcommand
+returns its report, and `main` alone times, writes and scores it.  Reports
+are canonical JSON (schema-versioned, runtime in a sidecar file so identical
+(config, seed) give byte-identical documents); time series go to RFC-4180 CSV.
 
 Exit codes: 0 all gates pass, 2 any gate fails, 3 inconclusive (effective
 sample size under the floor, or no energy transient for `coupling` to fit),
@@ -35,13 +36,11 @@ from .harness import (
     EnsembleBlowupError,
     ExperimentConfig,
     ExperimentReport,
-    Gate,
-    _plain,
     default_threads,
     make_gate,
+    make_report,
     report_to_json,
     run_experiment,
-    verdict_of,
 )
 from .spectral import GridSpec, hermitianize, holder_norm, mode_tuples
 
@@ -114,26 +113,27 @@ DEFAULTS: dict[str, dict] = {
         "grid": {"d": 1, "M": 18, "s": 4.0},
         "control": {"band": 8, "t": 1.0, "steps": 2048, "amplitude": 1.0},
     },
-    "selftest": {},
 }
 
 
-def _field_names(cls, *skip: str) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)} - set(skip)
+def _field_defaults(cls, *skip: str) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
 
 
 # every config key is a dataclass field or a key of the subcommand's DEFAULTS;
-# the CLI fills the experiment name, sections, seed and threads itself
-_SECTION_KEYS = {
-    "grid": _field_names(GridSpec),
-    "flow": _field_names(FlowConfig, "grid"),
-    "gibbs": _field_names(GibbsConfig, "grid"),
-    "experiment": _field_names(
+# the CLI fills the experiment name, sections, seed and threads itself.  A
+# key's default, from DEFAULTS or else the field's, fixes the kind of value it
+# takes (MISSING: a field with no default, left to the constructor)
+_SECTION_DEFAULTS = {
+    "grid": _field_defaults(GridSpec),
+    "flow": _field_defaults(FlowConfig, "grid"),
+    "gibbs": _field_defaults(GibbsConfig, "grid"),
+    "experiment": _field_defaults(
         ExperimentConfig, "experiment", "grid", "flow", "gibbs", "master_seed", "threads"
     ),
-    **{name: set(DEFAULTS[name][name]) for name in ("sample", "simulate", "control")},
+    **{name: DEFAULTS[name][name] for name in ("sample", "simulate", "control")},
 }
-_TOP_KEYS = set(_SECTION_KEYS) | {"seed", "threads"}
+_TOP_KEYS = set(_SECTION_DEFAULTS) | {"seed", "threads"}
 
 # --set overrides that shrink each experiment to smoke scale, in the order
 # selftest runs them; `scripts/run_experiments.py --quick` uses the same table.
@@ -156,8 +156,8 @@ SMOKE: dict[str, list[str]] = {
 }
 
 
-def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = sorted(set(given) - allowed)
+def _reject_unknown(section: str, given: dict, allowed) -> None:
+    unknown = sorted(set(given) - set(allowed))
     if unknown:
         raise ConfigError(
             f"unknown {section} key(s): {', '.join(unknown)} "
@@ -165,15 +165,45 @@ def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
         )
 
 
-def _validate_config(cfg: dict) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError("configuration root must be a JSON object")
+def _kind(value) -> str:
+    """The JSON kind of a value; a bool is never a number."""
+    if value is None:
+        return "null"
+    for kind, types in (("a boolean", bool), ("an integer", int), ("a number", float),
+                        ("a string", str), ("a list", (list, tuple))):
+        if isinstance(value, types):
+            return kind
+    return "an object"
+
+
+# an int is accepted where a float is expected, and a key whose default is
+# null (meaning "derive it") takes a number
+_TAKES = {"a number": {"a number", "an integer"}, "null": {"null", "a number", "an integer"}}
+
+
+def _fits(value, default) -> bool:
+    kind = _kind(default)
+    if _kind(value) not in _TAKES.get(kind, {kind}):
+        return False
+    return kind != "a list" or not default or all(_fits(v, default[0]) for v in value)
+
+
+def _validate_config(subcommand: str, cfg: dict) -> None:
     _reject_unknown("top-level", cfg, _TOP_KEYS)
-    for name, keys in _SECTION_KEYS.items():
-        if name in cfg:
-            if not isinstance(cfg[name], dict):
-                raise ConfigError(f"section {name!r} must be a JSON object")
-            _reject_unknown(name, cfg[name], keys)
+    for name, fields in _SECTION_DEFAULTS.items():
+        if name not in cfg:
+            continue
+        if not isinstance(cfg[name], dict):
+            raise ConfigError(f"section {name!r} must be a JSON object")
+        _reject_unknown(name, cfg[name], fields)
+        defaults = {**fields, **DEFAULTS.get(subcommand, {}).get(name, {})}
+        for key, value in cfg[name].items():
+            default = defaults[key]
+            if default is not dataclasses.MISSING and not _fits(value, default):
+                want = "a number or null" if default is None else _kind(default)
+                raise ConfigError(
+                    f"{name}.{key} must be {want} (default {json.dumps(default)}), got {json.dumps(value)}"
+                )
 
 
 def load_config(subcommand: str, path: str | None, overrides: list[str], seed=None, threads=None) -> dict:
@@ -184,7 +214,7 @@ def load_config(subcommand: str, path: str | None, overrides: list[str], seed=No
     every core the process may run on.  The result always carries every key,
     so the report echo has no hidden defaults.
     """
-    cfg = json.loads(json.dumps(DEFAULTS[subcommand]))  # deep copy
+    cfg = json.loads(json.dumps(DEFAULTS.get(subcommand, {})))  # deep copy
     # the default s is filled in after the user's keys, because it follows d
     default_s = cfg["grid"].pop("s") if "grid" in cfg else None
     if path is not None:
@@ -219,7 +249,7 @@ def load_config(subcommand: str, path: str | None, overrides: list[str], seed=No
             cfg["threads"] = int(os.environ.get("GIBBSDYN_THREADS") or default_threads())
         except ValueError as e:
             raise ConfigError(f"GIBBSDYN_THREADS is not an integer: {e}") from e
-    _validate_config(cfg)
+    _validate_config(subcommand, cfg)
     if not isinstance(cfg.get("seed"), int) or isinstance(cfg.get("seed"), bool):
         raise ConfigError("seed must be an integer")
     if cfg["seed"] < 0 or cfg["seed"] >= 2**64:
@@ -257,41 +287,18 @@ def _apply_override(cfg: dict, item: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_grid(cfg: dict) -> GridSpec:
-    if "grid" not in cfg:
-        raise ConfigError("this subcommand needs a grid section")
+def _build(cls, cfg: dict, section: str, **fixed):
     try:
-        return GridSpec(**cfg["grid"])
+        return cls(**fixed, **cfg[section])
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad grid: {e}") from e
-
-
-def _build_flow(cfg: dict, grid: GridSpec) -> FlowConfig | None:
-    if "flow" not in cfg:
-        return None
-    try:
-        return FlowConfig(grid=grid, **cfg["flow"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad flow: {e}") from e
-
-
-def _build_gibbs(cfg: dict, grid: GridSpec) -> GibbsConfig | None:
-    if "gibbs" not in cfg:
-        return None
-    try:
-        return GibbsConfig(grid=grid, **cfg["gibbs"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad gibbs: {e}") from e
+        raise ConfigError(f"bad {section}: {e}") from e
 
 
 def build_experiment_config(subcommand: str, cfg: dict) -> ExperimentConfig:
-    grid = _build_grid(cfg)
-    flow = _build_flow(cfg, grid)
-    gibbs = _build_gibbs(cfg, grid)
-    kwargs = dict(cfg.get("experiment", {}))
-    for key in ("observables", "n_values", "envelope_scales"):
-        if key in kwargs and isinstance(kwargs[key], list):
-            kwargs[key] = tuple(kwargs[key])
+    grid = _build(GridSpec, cfg, "grid")
+    flow = _build(FlowConfig, cfg, "flow", grid=grid) if "flow" in cfg else None
+    gibbs = _build(GibbsConfig, cfg, "gibbs", grid=grid) if "gibbs" in cfg else None
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg.get("experiment", {}).items()}
     try:
         return ExperimentConfig(
             experiment=subcommand,
@@ -311,29 +318,24 @@ def build_experiment_config(subcommand: str, cfg: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_report(report: ExperimentReport, out: Path, name: str) -> Path:
+def _write_report(report: ExperimentReport, out: Path, name: str, runtime: float) -> None:
     """Canonical report to <name>_report.json; wall-clock to a sidecar so the
     canonical document stays byte-identical across runs and thread counts."""
-    path = out / f"{name}_report.json"
-    path.write_text(report_to_json(report))
-    sidecar = {"runtime_seconds": report.runtime_seconds, "written_at": time.time()}
+    (out / f"{name}_report.json").write_text(report_to_json(report))
+    sidecar = {"runtime_seconds": runtime, "written_at": time.time()}
     (out / f"{name}_runtime.json").write_text(json.dumps(sidecar, sort_keys=True) + "\n")
-    return path
 
 
-def _print_gates(report: ExperimentReport, stream=None) -> None:
-    stream = stream or sys.stdout
+def _print_gates(report: ExperimentReport) -> None:
     for g in report.gates:
         mark = "PASS" if g.passed else "FAIL"
         rel = {"abs_le": "|value| <=", "le": "value <=", "ge": "value >="}[g.kind]
-        print(f"{mark} {g.name}: value={g.value:.6g} ({rel} {g.threshold:g})", file=stream)
-    print(f"verdict: {report.verdict}", file=stream)
+        print(f"{mark} {g.name}: value={g.value:.6g} ({rel} {g.threshold:g})")
+    print(f"verdict: {report.verdict}")
 
 
 def _exit_code(report: ExperimentReport) -> int:
-    if report.verdict == "inconclusive":
-        return 3
-    return 0 if report.verdict == "pass" else 2
+    return {"pass": 0, "fail": 2, "inconclusive": 3}[report.verdict]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -343,75 +345,20 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _series_csv(report: ExperimentReport, out: Path, name: str) -> Path | None:
-    """Emit the natural CSV time series for each experiment's statistics."""
-    stats = report.stats
-    path = out / f"{name}_series.csv"
-    if report.experiment in ("invariance",):
-        rows = [
-            [obs, d["mean_initial"], d["se_initial"], d["mean_final"], d["se_final"], d["z"], d["ess"]]
-            for obs, d in stats["observables"].items()
-        ]
-        _write_csv(path, ["observable", "mean_initial", "se_initial", "mean_final", "se_final", "z", "ess"], rows)
-        return path
-    if report.experiment == "ergodicity":
-        names = stats["initial_data"]
-        rows = [
-            [obs, d["reference_mean"], d["reference_se"]] + [d["time_averages"][k] for k in names]
-            for obs, d in stats["observables"].items()
-        ]
-        _write_csv(path, ["observable", "reference_mean", "reference_se", *names], rows)
-        return path
-    if report.experiment == "linear":
-        rows = [[t, v] for t, v in zip(stats["times"], stats["difference_norms"])]
-        _write_csv(path, ["t", "difference_norm"], rows)
-        return path
-    if report.experiment == "decay":
-        rows = [
-            [k, m, s]
-            for k, (m, s) in enumerate(zip(stats["medians"], stats["window_sups_mean"]))
-        ]
-        _write_csv(path, ["window", "median_sup", "mean_sup"], rows)
-        return path
-    if report.experiment == "nstability":
-        rows = [
-            [n, n2, d]
-            for (n, n2), d in zip(stats["n_pairs"], stats["sup_differences"])
-        ]
-        _write_csv(path, ["n", "n_double", "sup_difference"], rows)
-        return path
-    if report.experiment == "coupling":
-        rows = [[t, e] for t, e in zip(stats["times"], stats["energies"])]
-        _write_csv(path, ["t", "energy"], rows)
-        return path
-    return None
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report, and `main` writes and scores it
 # ---------------------------------------------------------------------------
 
 
-def _run_experiment_command(subcommand: str, cfg: dict, out: Path) -> int:
-    experiment_cfg = build_experiment_config(subcommand, cfg)
-    try:
-        report = run_experiment(experiment_cfg)
-    except ValueError as e:
-        # precondition violations surface as ValueError throughout the library
-        raise ConfigError(str(e)) from e
-    _write_report(report, out, subcommand)
-    _series_csv(report, out, subcommand)
-    _print_gates(report)
-    return _exit_code(report)
+def _cmd_experiment(name: str, cfg: dict, out: Path) -> ExperimentReport:
+    return run_experiment(build_experiment_config(name, cfg))
 
 
-def _cmd_sample(cfg: dict, out: Path) -> int:
-    t0 = time.perf_counter()
-    grid = _build_grid(cfg)
-    section = cfg.get("sample", {})
-    measure = section.get("measure", "rho")
-    count = section.get("count", 1024)
-    if not isinstance(count, int) or count < 1:
+def _cmd_sample(name: str, cfg: dict, out: Path) -> ExperimentReport:
+    grid = _build(GridSpec, cfg, "grid")
+    section = cfg["sample"]
+    measure, count = section["measure"], section["count"]
+    if count < 1:
         raise ConfigError("sample.count must be a positive integer")
     gen = rng.stream(cfg["seed"], 0)
 
@@ -419,15 +366,8 @@ def _cmd_sample(cfg: dict, out: Path) -> int:
         states = sample_mu_states(grid, gen, count)
         ens = WeightedEnsemble(grid, states, np.zeros(count), seed=cfg["seed"])
     elif measure == "rho":
-        gibbs = _build_gibbs(cfg, grid)
-        if gibbs is None:
-            raise ConfigError("sampling the interacting measure needs a gibbs section")
-        method = section.get("method", "reweight")
-        burn_in = section.get("burn_in", 0)
-        try:
-            ens = sample_rho(gibbs, count, gen, method=method, burn_in=burn_in)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        gibbs = _build(GibbsConfig, cfg, "gibbs", grid=grid)
+        ens = sample_rho(gibbs, count, gen, method=section["method"], burn_in=section["burn_in"])
         ens.seed = cfg["seed"]
     else:
         raise ConfigError(f"unknown measure {measure!r} (expected 'mu' or 'rho')")
@@ -445,43 +385,18 @@ def _cmd_sample(cfg: dict, out: Path) -> int:
         "mean_log_weight": float(np.mean(ens.log_weights)),
         "file": path.name,
     }
-    report = _assemble_report("sample", cfg, stats, gates, inconclusive=False, t0=t0)
-    _write_report(report, out, "sample")
-    _print_gates(report)
-    return _exit_code(report)
+    return make_report(name, cfg, cfg["seed"], stats, gates, False)
 
 
-def _assemble_report(
-    name: str, cfg: dict, stats: dict, gates: list[Gate], inconclusive: bool, t0: float
-) -> ExperimentReport:
-    """A report for non-harness subcommands, echoing the full resolved config.
-
-    The worker count stays out of the echo for the same reason as in the
-    harness: reports must be byte-identical across thread counts.  The
-    runtime since t0 goes only to the sidecar.
-    """
-    echo = _plain({k: v for k, v in cfg.items() if k != "threads"})
-    return ExperimentReport(
-        experiment=name,
-        config=echo,
-        seed=cfg["seed"],
-        stats=stats,
-        gates=gates,
-        inconclusive=inconclusive,
-        verdict=verdict_of(gates, inconclusive),
-        runtime_seconds=time.perf_counter() - t0,
-    )
-
-
-def _cmd_simulate(cfg: dict, out: Path) -> int:
-    t0 = time.perf_counter()
-    grid = _build_grid(cfg)
-    flow = _build_flow(cfg, grid)
-    if flow is None:
-        raise ConfigError("simulate needs a flow section")
-    section = cfg.get("simulate", {})
-    alpha = cfg.get("experiment", {}).get("alpha", 0.4)
-    initial = section.get("initial", "zero")
+def _cmd_simulate(name: str, cfg: dict, out: Path) -> ExperimentReport:
+    grid = _build(GridSpec, cfg, "grid")
+    flow = _build(FlowConfig, cfg, "flow", grid=grid)
+    section = cfg["simulate"]
+    alpha = cfg["experiment"]["alpha"]
+    thin = section["thin_every"]
+    if thin is not None and not isinstance(thin, int):
+        raise ConfigError(f"simulate.thin_every must be an integer or null, got {thin!r}")
+    initial = section["initial"]
     if initial == "zero":
         u0 = np.zeros((2, grid.n_modes), dtype=complex)
     elif initial == "mu":
@@ -489,12 +404,7 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     else:
         raise ConfigError(f"unknown initial {initial!r} (expected 'zero' or 'mu')")
 
-    traj = evolve(
-        u0,
-        flow,
-        rng.stream(cfg["seed"], 101),
-        thin_every=section.get("thin_every"),
-    )
+    traj = evolve(u0, flow, rng.stream(cfg["seed"], 101), thin_every=thin)
 
     header = ["t", "E_v", "l2_u", "l2_ut", "holder_alpha", "xalpha_proxy"]
     l2 = np.sum(np.abs(traj.states) ** 2, axis=-1)  # (n_samples, 2)
@@ -513,11 +423,11 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
     _write_csv(csv_path, header, rows)
 
     artifacts = {"csv": csv_path.name}
-    if section.get("dump_states"):
+    if section["dump_states"]:
         dump = WeightedEnsemble(grid, traj.states, np.zeros(len(traj.states)), seed=cfg["seed"])
         save_ensemble(out / "trajectory_states.bin", dump)
         artifacts["states"] = "trajectory_states.bin"
-    if section.get("dump_noise"):
+    if section["dump_noise"]:
         if traj.noise is None:
             raise ConfigError("dump_noise requires flow.record_noise")
         save_noise(out / "trajectory_noise.bin", traj.noise)
@@ -534,21 +444,14 @@ def _cmd_simulate(cfg: dict, out: Path) -> int:
         "blowup_time": traj.blowup_time,
         "artifacts": artifacts,
     }
-    report = _assemble_report("simulate", cfg, stats, gates, inconclusive=False, t0=t0)
-    _write_report(report, out, "simulate")
-    _print_gates(report)
-    return _exit_code(report)
+    return make_report(name, cfg, cfg["seed"], stats, gates, False)
 
 
-def _cmd_control(cfg: dict, out: Path) -> int:
-    t0 = time.perf_counter()
-    grid = _build_grid(cfg)
-    section = cfg.get("control", {})
-    band = section.get("band", 8)
-    t = section.get("t", 1.0)
-    steps = section.get("steps", 2048)
-    amplitude = section.get("amplitude", 1.0)
-    if not isinstance(band, int) or band < 0 or band > grid.K:
+def _cmd_control(name: str, cfg: dict, out: Path) -> ExperimentReport:
+    grid = _build(GridSpec, cfg, "grid")
+    section = cfg["control"]
+    band, t, steps, amplitude = (section[k] for k in ("band", "t", "steps", "amplitude"))
+    if not 0 <= band <= grid.K:
         raise ConfigError(f"control.band must be an integer in [0, K={grid.K}]")
 
     # a random band-limited Hermitian target, reproducible from the seed
@@ -561,10 +464,7 @@ def _cmd_control(cfg: dict, out: Path) -> int:
     # Hermitian symmetrization keeps the fields real-valued
     target = hermitianize(grid, state.reshape((2,) + grid.mode_shape)).reshape(2, grid.n_modes)
 
-    try:
-        ctrl = right_inverse(grid, target, t, steps=steps)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    ctrl = right_inverse(grid, target, t, steps=steps)
     got = forward_map(ctrl)
     denom = max(float(np.max(np.abs(target))), 1e-300)
     residual = float(np.max(np.abs(got - target))) / denom
@@ -591,27 +491,38 @@ def _cmd_control(cfg: dict, out: Path) -> int:
         "gram_worst_deviation": worst_dev,
         "control_norm_sq": float(np.sum(np.abs(ctrl.values) ** 2)),
     }
-    report = _assemble_report("control", cfg, stats, gates, inconclusive=False, t0=t0)
-    _write_report(report, out, "control")
-    _print_gates(report)
-    return _exit_code(report)
+    return make_report(name, cfg, cfg["seed"], stats, gates, False)
 
 
 def _cmd_selftest(cfg: dict, out: Path) -> int:
-    """Quick composed run of every experiment at smoke scale."""
+    """Quick composed run of every experiment at smoke scale; writes one
+    report per experiment, and no series, and returns the worst exit code."""
     codes = []
     for name, overrides in SMOKE.items():
         sub = load_config(name, None, overrides, cfg["seed"], cfg["threads"])
-        report = run_experiment(build_experiment_config(name, sub))
-        _write_report(report, out, f"selftest_{name}")
+        t0 = time.perf_counter()
+        report = _cmd_experiment(name, sub, out)
+        _write_report(report, out, f"selftest_{name}", time.perf_counter() - t0)
         print(f"[{name}]")
         _print_gates(report)
         codes.append(_exit_code(report))
-    if any(c == 2 for c in codes):
-        return 2
-    if any(c == 3 for c in codes):
-        return 3
-    return 0
+    # a failed gate outranks an inconclusive run
+    return 2 if 2 in codes else max(codes)
+
+
+# subcommand -> (help, command); selftest writes and scores its own reports
+COMMANDS = {
+    "sample": ("draw measure samples into a container file", _cmd_sample),
+    "simulate": ("run one trajectory and write a CSV summary", _cmd_simulate),
+    "invariance": ("weighted-ensemble invariance experiment", _cmd_experiment),
+    "ergodicity": ("time-average vs ensemble-average experiment", _cmd_experiment),
+    "linear": ("linear contraction and mixing experiment", _cmd_experiment),
+    "decay": ("stochastic-convolution decay experiment", _cmd_experiment),
+    "nstability": ("truncation-stability experiment", _cmd_experiment),
+    "coupling": ("remainder energy and envelope experiment", _cmd_experiment),
+    "control": ("control reconstruction residual report", _cmd_control),
+    "selftest": ("smoke-run every experiment", _cmd_selftest),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -626,18 +537,7 @@ def _parser() -> argparse.ArgumentParser:
         "with statistical verification experiments.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, blurb in [
-        ("sample", "draw measure samples into a container file"),
-        ("simulate", "run one trajectory and write a CSV summary"),
-        ("invariance", "weighted-ensemble invariance experiment"),
-        ("ergodicity", "time-average vs ensemble-average experiment"),
-        ("linear", "linear contraction and mixing experiment"),
-        ("decay", "stochastic-convolution decay experiment"),
-        ("nstability", "truncation-stability experiment"),
-        ("coupling", "remainder energy and envelope experiment"),
-        ("control", "control reconstruction residual report"),
-        ("selftest", "smoke-run every experiment"),
-    ]:
+    for name, (blurb, _) in COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
@@ -661,25 +561,29 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; remap to the config-error code
         return 64 if (e.code not in (0, None)) else 0
 
+    name = args.subcommand
     try:
-        cfg = load_config(args.subcommand, args.config, args.overrides, args.seed, args.threads)
+        cfg = load_config(name, args.config, args.overrides, args.seed, args.threads)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "sample":
-            return _cmd_sample(cfg, out)
-        if args.subcommand == "simulate":
-            return _cmd_simulate(cfg, out)
-        if args.subcommand == "control":
-            return _cmd_control(cfg, out)
-        if args.subcommand == "selftest":
+        if name == "selftest":
             return _cmd_selftest(cfg, out)
-        return _run_experiment_command(args.subcommand, cfg, out)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 64
+        t0 = time.perf_counter()
+        report = COMMANDS[name][1](name, cfg, out)
+        runtime = time.perf_counter() - t0
     except (NumericalError, EnsembleBlowupError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 70
+    except ValueError as e:
+        # ConfigError, and the precondition violations the library raises as
+        # ValueError throughout
+        print(f"error: {e}", file=sys.stderr)
+        return 64
+    _write_report(report, out, name, runtime)
+    if report.series is not None:
+        _write_csv(out / f"{name}_series.csv", *report.series)
+    _print_gates(report)
+    return _exit_code(report)
 
 
 if __name__ == "__main__":

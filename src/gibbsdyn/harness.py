@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -156,7 +155,7 @@ class ExperimentReport:
     gates: list[Gate]
     inconclusive: bool
     verdict: str
-    runtime_seconds: float = 0.0
+    series: tuple[list[str], list[list]] | None = None  # CSV header and rows; not in the JSON
 
 
 def _plain(value):
@@ -197,20 +196,25 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(_plain(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _finish(cfg: ExperimentConfig, stats: dict, gates: list[Gate], inconclusive: bool, t0: float) -> ExperimentReport:
-    echo = _plain(cfg)
+def make_report(
+    name: str, config, seed: int, stats: dict, gates: list[Gate], inconclusive: bool,
+    series: tuple[list[str], list[list]] | None = None,
+) -> ExperimentReport:
+    """A report echoing the full config, an ExperimentConfig or the CLI's
+    resolved dict, so a report alone pins down its run."""
+    echo = _plain(config)
     # the worker count affects scheduling only, never results, so it stays
     # out of the canonical echo: reports are byte-identical across thread counts
     echo.pop("threads", None)
     return ExperimentReport(
-        experiment=cfg.experiment,
+        experiment=name,
         config=echo,
-        seed=cfg.master_seed,
+        seed=seed,
         stats=stats,
         gates=gates,
         inconclusive=bool(inconclusive),
         verdict=verdict_of(gates, inconclusive),
-        runtime_seconds=time.perf_counter() - t0,
+        series=series,
     )
 
 
@@ -242,7 +246,6 @@ def _require_finite(finals: np.ndarray, series: dict[str, np.ndarray]) -> None:
 def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Weighted observable means must agree at t = 0 and t = T when the
     ensemble starts in the base measure with interaction weights attached."""
-    t0 = time.perf_counter()
     if cfg.flow is None or cfg.gibbs is None:
         raise ValueError("invariance requires flow and gibbs configs")
     grid = cfg.grid
@@ -267,12 +270,15 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     gates: list[Gate] = []
     stats: dict = {"observables": {}}
+    rows = []
     min_ess = np.inf
     for name in cfg.observables:
         m0, se0, ess = estimate(ens, series[name][0])
         mT, seT, _ = estimate(ens, series[name][-1])
         spread = float(np.hypot(se0, seT))
-        z = (mT - m0) / spread if spread > 0 else np.inf
+        # a constant observable has no spread, and equal means are no evidence
+        # against invariance
+        z = (mT - m0) / spread if spread > 0 else (0.0 if mT == m0 else np.inf)
         stats["observables"][name] = {
             "mean_initial": m0,
             "mean_final": mT,
@@ -281,6 +287,7 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "z": z,
             "ess": ess,
         }
+        rows.append([name, m0, se0, mT, seT, z, ess])
         gates.append(make_gate(f"z:{name}", z, cfg.z_threshold, "abs_le"))
         min_ess = min(min_ess, ess)
 
@@ -298,7 +305,8 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     stats["min_ess"] = float(min_ess)
     inconclusive = min_ess < cfg.ess_floor
     gates.append(make_gate("ess", min_ess, cfg.ess_floor, "ge"))
-    return _finish(cfg, stats, gates, inconclusive, t0)
+    series = (["observable", "mean_initial", "se_initial", "mean_final", "se_final", "z", "ess"], rows)
+    return make_report(cfg.experiment, cfg, cfg.master_seed, stats, gates, inconclusive, series)
 
 
 # ---------------------------------------------------------------------------
@@ -306,26 +314,29 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
+def _cosine_mode(grid: GridSpec, n: int) -> np.ndarray:
+    """The state u = cos(n x_1), u_t = 0, as flat coefficients (2, n_modes)."""
+    state = np.zeros((2, grid.n_modes), dtype=complex)
+    tup = (n,) + (0,) * (grid.d - 1)
+    state[0, flat_index(grid, tup)] = 0.5
+    state[0, flat_index(grid, tuple(-c for c in tup))] = 0.5
+    return state
+
+
 def _default_initial_states(cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     grid = cfg.grid
-    n_modes = grid.n_modes
-    zero = np.zeros((2, n_modes), dtype=complex)
-
-    high = np.zeros((2, n_modes), dtype=complex)
     n_hi = cfg.flow.N if (cfg.flow is not None and cfg.flow.N >= 1) else max(1, grid.K // 2)
-    tup = (n_hi,) + (0,) * (grid.d - 1)
-    high[0, flat_index(grid, tup)] = 0.5
-    high[0, flat_index(grid, tuple(-c for c in tup))] = 0.5
-
-    mu = sample_mu_states(grid, rng.stream(cfg.master_seed, 2), 1)[0]
-    return {"zero": zero, "high_mode": high, "mu_sample": mu}
+    return {
+        "zero": np.zeros((2, grid.n_modes), dtype=complex),
+        "high_mode": _cosine_mode(grid, n_hi),
+        "mu_sample": sample_mu_states(grid, rng.stream(cfg.master_seed, 2), 1)[0],
+    }
 
 
 def ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Single-trajectory time averages against the weighted ensemble answer,
     from several initial data; the limits must agree with the ensemble and
     with one another."""
-    t0 = time.perf_counter()
     if cfg.flow is None or cfg.gibbs is None:
         raise ValueError("ergodicity requires flow and gibbs configs")
     grid = cfg.grid
@@ -351,6 +362,7 @@ def ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     reference = sample_rho(gibbs, cfg.ensemble_size, rng.stream(cfg.master_seed, 4))
     gates: list[Gate] = []
     stats: dict = {"burn_in": burn, "observables": {}, "initial_data": names}
+    rows = []
     min_ess = np.inf
     for name in cfg.observables:
         ref_vals = resolve(name, grid)(grid, reference.states)
@@ -368,6 +380,7 @@ def ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 abs(late[k] - averages[k]) / max(abs(averages[k]), 1e-12) for k in names
             ),
         }
+        rows.append([name, ref_mean, ref_se] + [averages[k] for k in names])
         for k in names:
             rel = abs(averages[k] - ref_mean) / scale
             gates.append(make_gate(f"rel:{name}:{k}", rel, cfg.rel_tolerance, "le"))
@@ -386,7 +399,8 @@ def ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     stats["min_ess"] = float(min_ess)
     inconclusive = min_ess < cfg.ess_floor
     gates.append(make_gate("ess", min_ess, cfg.ess_floor, "ge"))
-    return _finish(cfg, stats, gates, inconclusive, t0)
+    series = (["observable", "reference_mean", "reference_se", *names], rows)
+    return make_report(cfg.experiment, cfg, cfg.master_seed, stats, gates, inconclusive, series)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +411,6 @@ def ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def linear_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Coupled linear trajectories contract pathwise; the time-T law of the
     zero-mode pair matches the base measure."""
-    t0 = time.perf_counter()
     if cfg.flow is None:
         raise ValueError("linear mixing requires a flow config")
     grid = cfg.grid
@@ -463,7 +476,8 @@ def linear_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "difference_norms": diffs,
         "times": times,
     }
-    return _finish(cfg, stats, gates, False, t0)
+    series = (["t", "difference_norm"], [[t, v] for t, v in zip(times, diffs)])
+    return make_report(cfg.experiment, cfg, cfg.master_seed, stats, gates, False, series)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +489,6 @@ def stick_decay_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Window sups of the decay-weighted propagated convolution must have
     non-increasing medians; the weighted Sobolev second moment must be stable
     under doubling the mode cutoff."""
-    t0 = time.perf_counter()
     grid = cfg.grid
     alpha = cfg.alpha
     sub_h = 0.05
@@ -516,14 +529,17 @@ def stick_decay_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         make_gate("median_monotone", monotone, 1e-9, "le"),
         make_gate("cutoff_stability", stability, 0.02, "le"),
     ]
+    means = np.mean(sups, axis=0)
     stats = {
         "medians": medians,
-        "window_sups_mean": np.mean(sups, axis=0),
+        "window_sups_mean": means,
         "second_moment": m1,
         "second_moment_refined": m2,
         "cutoff_stability": stability,
     }
-    return _finish(cfg, stats, gates, False, t0)
+    rows = [[k, m, s] for k, (m, s) in enumerate(zip(medians, means))]
+    series = (["window", "median_sup", "mean_sup"], rows)
+    return make_report(cfg.experiment, cfg, cfg.master_seed, stats, gates, False, series)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +550,15 @@ def stick_decay_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def nstability_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Consecutive truncation differences decay like N^{-alpha} on shared
     noise and initial data."""
-    t0 = time.perf_counter()
     if cfg.flow is None:
         raise ValueError("truncation stability requires a flow config")
     grid = cfg.grid
     n_values = tuple(cfg.n_values)
     if any(4 * n + 2 > grid.M for n in n_values):
         raise ValueError("grid too small for dealiased runs at the largest cutoff")
+    pairs = [(n, 2 * n) for n in n_values if 2 * n in n_values]
+    if len(pairs) < 2:
+        raise ValueError("n_values must hold at least two (n, 2n) pairs to fit a slope")
 
     u0 = sample_mu_states(grid, rng.stream(cfg.master_seed, 10), 1)[0]
 
@@ -559,7 +577,6 @@ def nstability_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             )
         v_series[n] = traj.v_states()
 
-    pairs = [(n, 2 * n) for n in n_values if 2 * n in n_values]
     diffs = []
     for n, n2 in pairs:
         # a blowup shortens a run; compare the sample times both reached
@@ -576,7 +593,8 @@ def nstability_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "slope": float(slope),
         "prefactor": float(np.exp(intercept)),
     }
-    return _finish(cfg, stats, gates, False, t0)
+    series = (["n", "n_double", "sup_difference"], [[n, n2, d] for (n, n2), d in zip(pairs, diffs)])
+    return make_report(cfg.experiment, cfg, cfg.master_seed, stats, gates, False, series)
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +604,7 @@ def nstability_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _scaled_to_energy(grid: GridSpec, target: float) -> np.ndarray:
     """A single-mode displacement state scaled so its energy hits the target."""
-    base = np.zeros((2, grid.n_modes), dtype=complex)
-    tup = (1,) + (0,) * (grid.d - 1)
-    base[0, flat_index(grid, tup)] = 0.5
-    base[0, flat_index(grid, tuple(-c for c in tup))] = 0.5
+    base = _cosine_mode(grid, 1)
 
     def energy(a: float) -> float:
         return float(energy_states(grid, (a * base)[None])[0])
@@ -617,9 +632,10 @@ def coupling_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """The remainder stays band-limited, its energy stays finite over the
     horizon, the big-excess transient decays, and sup-energy grows with the
     initial size at a rate compatible with the envelope exponent."""
-    t0 = time.perf_counter()
     if cfg.flow is None:
         raise ValueError("the decomposition experiment requires a flow config")
+    if len(set(cfg.envelope_scales)) < 2 or min(cfg.envelope_scales) <= 0:
+        raise ValueError("envelope_scales needs two or more distinct positive scales to fit a slope")
     grid = cfg.grid
     flow = replace(cfg.flow, grid=grid, record_noise=True)
     v0 = _scaled_to_energy(grid, cfg.target_energy)
@@ -673,7 +689,8 @@ def coupling_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # decay gate reads 0 and says nothing about the flow; that makes the run
     # inconclusive, unless another gate has failed it already
     inconclusive = not monitor.fitted and all(g.passed for g in gates if g.name != "decay_rate")
-    return _finish(cfg, stats, gates, inconclusive, t0)
+    series = (["t", "energy"], [[t, e] for t, e in zip(monitor.times, monitor.energies)])
+    return make_report(cfg.experiment, cfg, cfg.master_seed, stats, gates, inconclusive, series)
 
 
 EXPERIMENTS = {

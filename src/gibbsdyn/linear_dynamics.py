@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import GridSpec, half_lattice, holder_batch_rows, holder_norm, omega2
+from .spectral import GridSpec, half_lattice, holder_norm, omega2
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -265,26 +265,16 @@ def xalpha_norm(
 
     A lower bound of the true sup over t >= 0; the tail beyond the horizon is
     negligible for band-limited fields since the propagator decays like
-    e^{-t/2} while the weight only grows like e^{t/8}.  The states are
-    propagated in time order and their norms taken in batches of
-    `holder_batch_rows`.
+    e^{-t/2} while the weight only grows like e^{t/8}.  Like a running
+    maximum from 0, the sup skips NaN norms.
     """
     if horizon < 0 or dt <= 0:
         raise ValueError("horizon must be >= 0 and dt > 0")
     S = propagator(grid, dt)
     n_times = int(np.floor(horizon / dt + 1e-9)) + 1
-    per_batch = holder_batch_rows(grid)
-    batch = np.empty((min(per_batch, n_times), 2, grid.n_modes), dtype=complex)
-    best = 0.0
-    for lo in range(0, n_times, per_batch):
-        n = min(per_batch, n_times - lo)
-        for j in range(n):
-            if lo + j > 0:
-                state = propagate_states(S, state)
-            batch[j] = state
-        norms = holder_norm(grid, batch[:n], alpha)
-        for k, norm in enumerate(norms, start=lo):
-            val = np.exp(k * dt / 8.0) * norm
-            if val > best:
-                best = val
-    return best
+    states = np.empty((n_times, 2, grid.n_modes), dtype=complex)
+    states[0] = state
+    for k in range(1, n_times):
+        states[k] = propagate_states(S, states[k - 1])
+    weighted = np.exp(np.arange(n_times) * dt / 8.0) * holder_norm(grid, states, alpha)
+    return float(np.fmax.reduce(weighted, initial=0.0))

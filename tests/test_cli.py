@@ -12,6 +12,7 @@ import pytest
 
 from gibbsdyn.cli import (
     DEFAULTS,
+    SMOKE,
     ConfigError,
     _apply_override,
     build_experiment_config,
@@ -27,6 +28,10 @@ from gibbsdyn.spectral import GridSpec, omega2
 
 def run(tmp_path, *args):
     return main([*args, "--out", str(tmp_path)])
+
+
+def smoke_args(name):
+    return [name, *(x for item in SMOKE[name] for x in ("--set", item))]
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +84,50 @@ def test_every_config_field_is_accepted_at_its_default():
     for name in ("sample", "simulate", "control"):
         for key, value in DEFAULTS[name][name].items():
             load_config(name, None, [f"{name}.{key}={json.dumps(value)}"])
+
+
+def test_value_kinds_follow_the_defaults():
+    # an int where a float is expected, and a number or null where the default
+    # is null, are accepted
+    load_config("invariance", None, ["flow.T=2", "experiment.burn_in=1", "experiment.envelope_scales=[1,2]"])
+    load_config("invariance", None, ["experiment.burn_in=null"])
+    load_config("simulate", None, ["simulate.thin_every=5"])
+    for item in [
+        "grid.M=18.0", "experiment.ensemble_size=true", "experiment.shared_noise=1",
+        "experiment.observables=[1]", "experiment.burn_in=false", "flow.gamma=[0.1]",
+    ]:
+        with pytest.raises(ConfigError, match=item.split("=")[0]):
+            load_config("invariance", None, [item])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("control", "--set", 'control.t="abc"'),
+        ("control", "--set", "control.steps=100.5"),
+        ("sample", "--set", "sample.method=imh", "--set", 'sample.burn_in="abc"'),
+        ("sample", "--set", "sample.count=true"),
+        ("simulate", "--set", 'simulate.thin_every="abc"'),
+        ("simulate", "--set", "simulate.thin_every=2.5"),
+        ("decay", "--set", 'experiment.alpha="abc"'),
+        ("nstability", "--set", "experiment.n_values=[2,3]"),
+        ("nstability", "--set", "experiment.n_values=[2,4]"),
+        ("coupling", "--set", "experiment.envelope_scales=[1.0]"),
+        ("coupling", "--set", "experiment.envelope_scales=[0.0,1.0]"),
+    ],
+    ids=[
+        "control-t-string", "control-steps-float", "sample-burn_in-string", "sample-count-bool",
+        "simulate-thin-string", "simulate-thin-float", "decay-alpha-string",
+        "nstability-no-pair", "nstability-one-pair", "coupling-one-scale", "coupling-zero-scale",
+    ],
+)
+def test_malformed_values_exit_64(tmp_path, capsys, args):
+    # each of these ended in a traceback, or in a slope fitted through fewer
+    # than two points
+    assert run(tmp_path, *args) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / f"{args[0]}_report.json").exists()
 
 
 def test_malformed_json_exits_64(tmp_path, capsys):
@@ -218,6 +267,76 @@ def test_nonpositive_target_energy_exits_64(tmp_path, capsys, target):
     rc = run(tmp_path, "coupling", "--set", f"experiment.target_energy={target}", "--set", "flow.T=2")
     assert rc == 64
     assert "target_energy must be strictly positive" in capsys.readouterr().err
+
+
+def test_constant_observable_passes_invariance(tmp_path, capsys):
+    # "one" has equal means and no spread: z reads 0, not inf
+    rc = run(
+        tmp_path, "invariance", "--set", 'experiment.observables=["one","l2_u"]',
+        "--set", "experiment.ensemble_size=64", "--set", "experiment.ess_floor=10.0",
+        "--set", "flow.T=0.1",
+    )
+    assert rc == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "invariance_report.json").read_text())
+    gate = {g["name"]: g for g in doc["gates"]}["z:one"]
+    assert gate["value"] == 0.0 and gate["passed"]
+
+
+def test_invariance_passes_at_d3(tmp_path, capsys):
+    rc = run(
+        tmp_path, "invariance", "--set", "grid.d=3", "--set", "grid.M=10", "--set", "flow.N=2",
+        "--set", "gibbs.N=2", "--set", "experiment.ensemble_size=256",
+        "--set", "experiment.ess_floor=32.0", "--set", "flow.T=0.5",
+    )
+    assert rc == 0
+    assert "verdict: pass" in capsys.readouterr().out
+
+
+# each experiment's series: its CSV header, and the rows it holds as read
+# from the report's stats (observables in config order; the report sorts keys)
+Z_COLUMNS = ["mean_initial", "se_initial", "mean_final", "se_final", "z", "ess"]
+SERIES = {
+    "invariance": (
+        ["observable", *Z_COLUMNS],
+        lambda s, names: [[k, *(s["observables"][k][c] for c in Z_COLUMNS)] for k in names],
+    ),
+    "ergodicity": (
+        ["observable", "reference_mean", "reference_se", "zero", "high_mode", "mu_sample"],
+        lambda s, names: [
+            [k, s["observables"][k]["reference_mean"], s["observables"][k]["reference_se"],
+             *(s["observables"][k]["time_averages"][n] for n in s["initial_data"])]
+            for k in names
+        ],
+    ),
+    "linear": (["t", "difference_norm"], lambda s, _: list(zip(s["times"], s["difference_norms"]))),
+    "decay": (
+        ["window", "median_sup", "mean_sup"],
+        lambda s, _: [[k, *mw] for k, mw in enumerate(zip(s["medians"], s["window_sups_mean"]))],
+    ),
+    "nstability": (
+        ["n", "n_double", "sup_difference"],
+        lambda s, _: [[*pair, d] for pair, d in zip(s["n_pairs"], s["sup_differences"])],
+    ),
+    "coupling": (["t", "energy"], lambda s, _: list(zip(s["times"], s["energies"]))),
+}
+
+
+@pytest.mark.parametrize("name", list(SMOKE))
+def test_series_csv_matches_the_report(tmp_path, capsys, name):
+    assert run(tmp_path, *smoke_args(name)) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / f"{name}_report.json").read_text())
+    header, rows_of = SERIES[name]
+    want = rows_of(doc["stats"], doc["config"]["observables"])
+    with open(tmp_path / f"{name}_series.csv", newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == header
+    assert len(got) - 1 == len(want) > 0
+    for row, expected in zip(got[1:], want):
+        assert len(row) == len(expected)
+        for cell, value in zip(row, expected):
+            assert cell == value if isinstance(value, str) else float(cell) == value
 
 
 def test_gate_failure_exits_2(tmp_path, capsys):
@@ -411,12 +530,16 @@ def test_simulate_dump_noise_requires_recording(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [("simulate", "--set", "flow.T=0.5"), ("sample", "--set", "sample.count=64"), ("control",)],
-    ids=["simulate", "sample", "control"],
+    [
+        ("simulate", "--set", "flow.T=0.5"), ("sample", "--set", "sample.count=64"), ("control",),
+        *(smoke_args(name) for name in SMOKE),
+    ],
+    ids=["simulate", "sample", "control", *SMOKE],
 )
 def test_utility_runtime_goes_to_sidecar_only(tmp_path, capsys, args):
-    # the sidecar carries the measured runtime; the canonical report holds no
-    # timing, so it stays byte-identical from run to run
+    # the sidecar carries the runtime `main` measures for every subcommand;
+    # the canonical report holds no timing, so it stays byte-identical from
+    # run to run
     reports = []
     for sub, threads in (("a", "1"), ("b", "2")):
         out = tmp_path / sub
@@ -451,6 +574,8 @@ def test_selftest_passes_on_defaults(tmp_path, capsys):
     assert out.count("verdict: pass") == 6
     for name in ("invariance", "ergodicity", "linear", "decay", "nstability", "coupling"):
         assert (tmp_path / f"selftest_{name}_report.json").exists()
+        assert json.loads((tmp_path / f"selftest_{name}_runtime.json").read_text())["runtime_seconds"] > 0.0
+    assert not list(tmp_path.glob("*.csv"))
     # `run_experiments.py --quick` runs at selftest's scale, so it writes the
     # same reports
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"

@@ -1,5 +1,5 @@
 """The repository's tools still find the library: the benchmark's layer
-tracer names, and the quickstart script."""
+tracer names, the quickstart script, and the CLI's subcommand tables."""
 
 import importlib
 import importlib.util
@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from gibbsdyn import cli, harness
 from gibbsdyn.flow import Trajectory, evolve
 from gibbsdyn.observables import resolve
 from gibbsdyn.spectral import GridSpec
@@ -54,3 +55,11 @@ def test_quickstart_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "trajectory to T=20.0: 201 samples, no blowup: True" in proc.stdout
+
+
+def test_subcommand_tables_agree():
+    # a subcommand missing from one table must fail here, not at run time
+    assert set(cli.COMMANDS) - {"selftest"} == set(cli.DEFAULTS)
+    assert set(harness.EXPERIMENTS) == set(cli.SMOKE)
+    experiments = {name for name, (_, command) in cli.COMMANDS.items() if command is cli._cmd_experiment}
+    assert experiments == set(harness.EXPERIMENTS)
