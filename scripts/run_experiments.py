@@ -13,7 +13,7 @@ every run to the smoke scale of `gibbsdyn selftest` (`cli.SMOKE`, about
 import argparse
 import sys
 
-from gibbsdyn.cli import SMOKE
+from gibbsdyn.cli import SMOKE, combined_exit_code
 from gibbsdyn.cli import main as cli_main
 
 EXPERIMENTS = list(SMOKE)
@@ -30,7 +30,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = ap.parse_args(argv)
 
-    worst = 0
+    codes = []
     for name in args.only or EXPERIMENTS:
         cli_argv = [name, "--out", args.out]
         if args.seed is not None:
@@ -41,10 +41,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"== {name} ==", flush=True)
         code = cli_main(cli_argv)
         print(f"   exit {code}", flush=True)
-        worst = max(worst, code) if code != 64 else 64
+        codes.append(code)
         if code == 64:
             break
-    return worst
+    return combined_exit_code(codes)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .control import NumericalError, forward_map, gram_form, right_inverse
 from .flow import FlowConfig, evolve
 from .gibbs import GibbsConfig, WeightedEnsemble, estimate, sample_mu_states, sample_rho
 from .harness import (
-    EnsembleBlowupError,
+    BlowupError,
     ExperimentConfig,
     ExperimentReport,
     default_threads,
@@ -338,6 +338,12 @@ def _exit_code(report: ExperimentReport) -> int:
     return {"pass": 0, "fail": 2, "inconclusive": 3}[report.verdict]
 
 
+def combined_exit_code(codes) -> int:
+    """The exit code of several runs: a configuration error (64) outranks a
+    numerical failure (70), then a failed gate (2), then an inconclusive run (3)."""
+    return next((c for c in (64, 70, 2, 3) if c in codes), 0)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)  # RFC-4180: CRLF line endings, minimal quoting
@@ -430,7 +436,7 @@ def _cmd_simulate(name: str, cfg: dict, out: Path) -> ExperimentReport:
     if section["dump_noise"]:
         if traj.noise is None:
             raise ConfigError("dump_noise requires flow.record_noise")
-        save_noise(out / "trajectory_noise.bin", traj.noise)
+        save_noise(out / "trajectory_noise.bin", dataclasses.replace(traj.noise, seed=cfg["seed"]))
         artifacts["noise"] = "trajectory_noise.bin"
 
     last = rows[-1]
@@ -496,7 +502,7 @@ def _cmd_control(name: str, cfg: dict, out: Path) -> ExperimentReport:
 
 def _cmd_selftest(cfg: dict, out: Path) -> int:
     """Quick composed run of every experiment at smoke scale; writes one
-    report per experiment, and no series, and returns the worst exit code."""
+    report per experiment, and no series, and returns their combined exit code."""
     codes = []
     for name, overrides in SMOKE.items():
         sub = load_config(name, None, overrides, cfg["seed"], cfg["threads"])
@@ -506,8 +512,7 @@ def _cmd_selftest(cfg: dict, out: Path) -> int:
         print(f"[{name}]")
         _print_gates(report)
         codes.append(_exit_code(report))
-    # a failed gate outranks an inconclusive run
-    return 2 if 2 in codes else max(codes)
+    return combined_exit_code(codes)
 
 
 # subcommand -> (help, command); selftest writes and scores its own reports
@@ -571,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         report = COMMANDS[name][1](name, cfg, out)
         runtime = time.perf_counter() - t0
-    except (NumericalError, EnsembleBlowupError, np.linalg.LinAlgError) as e:
+    except (NumericalError, BlowupError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 70
     except ValueError as e:

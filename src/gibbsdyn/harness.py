@@ -44,7 +44,7 @@ from .gibbs import (
 from .linear_dynamics import (
     build_table,
     propagate_states,
-    sample_stick,
+    propagator,
     step_covariance,
     xalpha_norm,
 )
@@ -106,7 +106,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.ensemble_size < 2:
             raise ValueError("ensemble size must be at least 2")
-        for name in ("z_threshold", "ess_floor", "rel_tolerance", "ks_pvalue_floor", "target_energy"):
+        for name in ("z_threshold", "ess_floor", "rel_tolerance", "ks_pvalue_floor", "target_energy",
+                     "stick_time", "windows"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
@@ -222,8 +223,8 @@ def _member_streams(cfg: ExperimentConfig, group: int, count: int) -> list:
     return [rng.stream(cfg.master_seed, group, i) for i in range(count)]
 
 
-class EnsembleBlowupError(RuntimeError):
-    """An ensemble member's final state or an observable went non-finite."""
+class BlowupError(RuntimeError):
+    """A run blew up, or an ensemble member or an observable went non-finite."""
 
 
 def _require_finite(finals: np.ndarray, series: dict[str, np.ndarray]) -> None:
@@ -232,7 +233,7 @@ def _require_finite(finals: np.ndarray, series: dict[str, np.ndarray]) -> None:
     blown = ~np.isfinite(finals).reshape(finals.shape[0], -1).all(axis=1)
     names = [name for name, values in series.items() if not np.isfinite(values).all()]
     if blown.any() or names:
-        raise EnsembleBlowupError(
+        raise BlowupError(
             f"{int(blown.sum())} of {finals.shape[0]} ensemble members ended non-finite; "
             f"non-finite observables: {', '.join(names) or 'none'}"
         )
@@ -491,25 +492,30 @@ def stick_decay_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     under doubling the mode cutoff."""
     grid = cfg.grid
     alpha = cfg.alpha
-    sub_h = 0.05
-    table = build_table(grid, sub_h)
-    prop_quarter = build_table(grid, 0.25)
+    h = 0.1  # two exact half-steps of 0.05
+    if abs(round(cfg.stick_time / h) * h - cfg.stick_time) > 1e-9 * max(1.0, cfg.stick_time):
+        raise ValueError(f"stick_time must be a multiple of {h}, got {cfg.stick_time}")
 
+    # the convolution is the linear flow from zero, drawn for every member at once
     count = cfg.ensemble_size
+    linear = FlowConfig(grid, N=-1, gamma=0.0, h=h, T=cfg.stick_time)
+    zeros = np.zeros((count, 2, grid.n_modes), dtype=complex)
+    streams = _member_streams(cfg, 9, count)
+    _, _, node = evolve_ensemble(linear, zeros, streams, sample_every=linear.n_steps, threads=cfg.threads)
+
     n_windows = cfg.windows
     per_window = 4  # quarter-unit sampling inside each window
     n_nodes = n_windows * per_window + 1
     weights = np.array([np.exp(cfg.weight_exponent * (0.25 * j)) for j in range(n_nodes)])
-    nodes = np.empty((n_nodes, 2, grid.n_modes), dtype=complex)
-    sups = np.zeros((count, n_windows))
-    for i in range(count):
-        state, _ = sample_stick(cfg.stick_time, table, rng.stream(cfg.master_seed, 9, i))
-        nodes[0] = state
-        for j in range(1, n_nodes):
-            nodes[j] = propagate_states(prop_quarter.S, nodes[j - 1])
-        window_vals = weights * holder_norm(grid, nodes, alpha)
-        for k in range(n_windows):
-            sups[i, k] = np.max(window_vals[k * per_window : (k + 1) * per_window + 1])
+    quarter = propagator(grid, 0.25)
+    window_vals = [weights[0] * holder_norm(grid, node, alpha)]  # (count,) per node
+    for w in weights[1:]:
+        node = propagate_states(quarter, node)
+        window_vals.append(w * holder_norm(grid, node, alpha))
+    sups = np.stack(
+        [np.max(window_vals[k * per_window : (k + 1) * per_window + 1], axis=0) for k in range(n_windows)],
+        axis=1,
+    )
 
     medians = np.median(sups, axis=0)
     monotone = float(np.max(np.diff(medians))) if n_windows > 1 else 0.0
@@ -562,26 +568,25 @@ def nstability_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     u0 = sample_mu_states(grid, rng.stream(cfg.master_seed, 10), 1)[0]
 
-    base_flow = replace(cfg.flow, grid=grid, record_noise=True, N=max(n_values))
-    base_traj = evolve(u0, base_flow, rng.stream(cfg.master_seed, 11), thin_every=1)
-
+    flow = replace(cfg.flow, grid=grid, record_noise=True)
     v_series: dict[int, np.ndarray] = {}
-    for n in n_values:
-        if cfg.shared_noise and n == max(n_values):
-            traj = base_traj
-        elif cfg.shared_noise:
-            traj = evolve(u0, replace(base_flow, N=n), noise_path=base_traj.noise, thin_every=1)
+    # the largest cutoff runs first: with shared noise the others replay its path
+    for n in sorted(n_values, reverse=True):
+        if not cfg.shared_noise:
+            traj = evolve(u0, replace(flow, N=n), rng.stream(cfg.master_seed, 11, n), thin_every=1)
+        elif n == max(n_values):
+            traj = base = evolve(u0, replace(flow, N=n), rng.stream(cfg.master_seed, 11), thin_every=1)
         else:
-            traj = evolve(
-                u0, replace(base_flow, N=n), rng.stream(cfg.master_seed, 11, n), thin_every=1
-            )
+            traj = evolve(u0, replace(flow, N=n), noise_path=base.noise, thin_every=1)
+        # a blown-up run has no remainder to compare, and its recorded noise is
+        # too short to replay at the other cutoffs
+        if traj.blowup_time is not None:
+            raise BlowupError(f"nstability run at N={n} blew up at t={traj.blowup_time:g}")
         v_series[n] = traj.v_states()
 
     diffs = []
     for n, n2 in pairs:
-        # a blowup shortens a run; compare the sample times both reached
-        both = min(len(v_series[n]), len(v_series[n2]))
-        gap = v_series[n][:both] - v_series[n2][:both]
+        gap = v_series[n] - v_series[n2]
         diffs.append(float(np.max(sobolev_pair_norm(grid, gap, grid.s / 2))))
     logs_n = np.log([n for n, _ in pairs])
     slope, intercept = np.polyfit(logs_n, np.log(diffs), 1)

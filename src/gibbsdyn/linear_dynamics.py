@@ -5,8 +5,7 @@ dv = A_n v dt + sqrt(2) e_2 dW,  A_n = [[0, 1], [-(1+|n|^s), -1]],
 whose propagator exp(t A_n) is available in closed trigonometric form.  This
 module provides batched propagator tables, the exact Ornstein--Uhlenbeck
 transition increments (no time-discretization error in the linear part),
-sampling of the stochastic convolution, and a decay-weighted sup norm built
-on the propagator.
+and a decay-weighted sup norm built on the propagator.
 
 Complex modes carry independent real and imaginary parts, each an identical
 copy of the real 2D system with half the noise intensity; the zero mode is
@@ -233,27 +232,6 @@ class NoisePath:
         nh = half_lattice(self.grid).size
         if self.increments.ndim != 3 or self.increments.shape[1:] != (nh, 2):
             raise ValueError("increment array shape does not match grid")
-
-
-def sample_stick(
-    t: float, table: PropagatorTable, gen: np.random.Generator
-) -> tuple[np.ndarray, NoisePath]:
-    """Exact sample of the stochastic convolution at time t = k*h, as a flat
-    state (2, n_modes).
-
-    Iterates the exact transition from the zero state; every intermediate
-    increment is recorded for replay.
-    """
-    k = int(round(t / table.h))
-    if abs(k * table.h - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError("t must be an integer multiple of the table step")
-    eta = draw_increments(table, gen, k)
-    state = np.zeros((2, table.grid.n_modes), dtype=complex)
-    for i in range(k):
-        state = propagate_states(table.S, state) + increments_to_states(
-            table.grid, eta[i]
-        )
-    return state, NoisePath(table.grid, table.h, eta)
 
 
 def xalpha_norm(

@@ -108,4 +108,6 @@ def resolve(name: str, grid: GridSpec) -> Observable:
 
 
 def resolve_battery(names: tuple[str, ...] | list[str], grid: GridSpec) -> dict[str, Observable]:
+    if not names:
+        raise ValueError("observables must name at least one observable")
     return {name: resolve(name, grid) for name in names}

@@ -24,11 +24,12 @@ The reference solvers and samplers only tests call are built on the
 library's kernel: a Picard fixed-point solver for the remainder integral
 equation, a single splitting step and kick on one state, the single-mode
 generator and propagator, one exact OU transition, the stochastic
-convolution's two-time covariance by quadrature, a rejection sampler for the
-quartic measure, and the coupling experiment's initial remainder found by a
-fixed 200 bisection steps.  The last section holds helpers only tests use:
-a Hermitian scatter from the half lattice, one base-measure draw, the
-interaction of one field and the exact aggregation of recorded noise.
+convolution sampled one member at a time and its two-time covariance by
+quadrature, a rejection sampler for the quartic measure, and the coupling
+experiment's initial remainder found by a fixed 200 bisection steps.  The
+last section holds helpers only tests use: a Hermitian scatter from the half
+lattice, one base-measure draw, the interaction of one field and the exact
+aggregation of recorded noise.
 
 States are flat arrays (2, n_modes), as in the library.
 """
@@ -421,6 +422,23 @@ def exact_ou_step(
     state = linear_dynamics.propagate_states(table.S, state)
     state = state + linear_dynamics.increments_to_states(table.grid, eta)
     return state, eta
+
+
+def stick_samples(t: float, table: PropagatorTable, generators: list) -> np.ndarray:
+    """The stochastic convolution at time t = k * table.h from each generator,
+    (B, 2, n_modes): the exact transition iterated from the zero state, one
+    member at a time, as the decay experiment sampled it before it stepped
+    every member at once through the ensemble engine."""
+    k = round(t / table.h)
+    out = np.empty((len(generators), 2, table.grid.n_modes), dtype=complex)
+    for i, gen in enumerate(generators):
+        eta = linear_dynamics.draw_increments(table, gen, k)
+        state = np.zeros((2, table.grid.n_modes), dtype=complex)
+        for j in range(k):
+            state = linear_dynamics.propagate_states(table.S, state)
+            state = state + linear_dynamics.increments_to_states(table.grid, eta[j])
+        out[i] = state
+    return out
 
 
 def stick_covariance(grid: GridSpec, t: float, s: float, f: np.ndarray) -> float:

@@ -10,19 +10,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gibbsdyn import cli
 from gibbsdyn.cli import (
     DEFAULTS,
     SMOKE,
     ConfigError,
     _apply_override,
     build_experiment_config,
+    combined_exit_code,
     load_config,
     main,
 )
 from gibbsdyn.container import load_ensemble, load_noise
 from gibbsdyn.flow import FlowConfig
 from gibbsdyn.gibbs import GibbsConfig, estimate
-from gibbsdyn.harness import ExperimentConfig
+from gibbsdyn.harness import ExperimentConfig, make_gate, make_report
 from gibbsdyn.spectral import GridSpec, omega2
 
 
@@ -114,19 +116,29 @@ def test_value_kinds_follow_the_defaults():
         ("nstability", "--set", "experiment.n_values=[2,4]"),
         ("coupling", "--set", "experiment.envelope_scales=[1.0]"),
         ("coupling", "--set", "experiment.envelope_scales=[0.0,1.0]"),
+        ("decay", "--set", "experiment.stick_time=0.0"),
+        ("decay", "--set", "experiment.windows=0"),
+        ("decay", "--set", "experiment.stick_time=0.05"),
+        ("invariance", "--set", "experiment.observables=[]", "--set", "flow.T=0.1"),
+        ("ergodicity", "--set", "experiment.observables=[]"),
     ],
     ids=[
         "control-t-string", "control-steps-float", "sample-burn_in-string", "sample-count-bool",
         "simulate-thin-string", "simulate-thin-float", "decay-alpha-string",
         "nstability-no-pair", "nstability-one-pair", "coupling-one-scale", "coupling-zero-scale",
+        "decay-zero-time", "decay-no-window", "decay-half-step", "invariance-no-observable",
+        "ergodicity-no-observable",
     ],
 )
 def test_malformed_values_exit_64(tmp_path, capsys, args):
-    # each of these ended in a traceback, or in a slope fitted through fewer
-    # than two points
+    # each of these ended in a traceback, in a slope fitted through fewer than
+    # two points, in a message naming no key, or in a verdict on no observable
     assert run(tmp_path, *args) == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    key = next((a.split("=")[0].split(".")[1] for a in args if a.startswith("experiment.")), None)
+    if key is not None:
+        assert key in err
     assert not (tmp_path / f"{args[0]}_report.json").exists()
 
 
@@ -426,6 +438,32 @@ def test_ensemble_blowup_exits_70(tmp_path, capsys):
     assert not (tmp_path / "invariance_report.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("shared", ["true", "false"])
+def test_nstability_blowup_exits_70(tmp_path, capsys, shared):
+    # with shared noise the largest cutoff runs first and the others replay
+    # its path, so its blowup used to surface as a path too short to replay
+    rc = run(tmp_path, "nstability", "--set", "flow.h=0.5", "--set", "flow.T=20.0",
+             "--set", "flow.gamma=50.0", "--set", f"experiment.shared_noise={shared}")
+    assert rc == 70
+    err = capsys.readouterr().err
+    assert err == "numerical failure: nstability run at N=8 blew up at t=1\n"
+    assert not (tmp_path / "nstability_report.json").exists()
+
+
+def test_decay_report_byte_identical_across_threads(tmp_path, capsys):
+    # more members than one row chunk, so two threads step two chunks at once
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["decay", "--set", "experiment.ensemble_size=1100",
+                     "--threads", threads, "--out", str(out)]) == 0
+        reports.append((out / "decay_report.json").read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
 def test_reports_byte_identical_across_threads(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
@@ -518,6 +556,17 @@ def test_simulate_dumps_containers(tmp_path, capsys):
     assert noise.n_steps == 2 * round(0.5 / 0.01)  # half-step spacing
 
 
+def test_simulate_dumps_record_the_seed(tmp_path, capsys):
+    rc = run(
+        tmp_path, "simulate", "--seed", "77", "--set", "flow.T=0.1",
+        "--set", "simulate.dump_states=true", "--set", "simulate.dump_noise=true",
+    )
+    assert rc == 0
+    capsys.readouterr()
+    assert load_ensemble(tmp_path / "trajectory_states.bin").seed == 77
+    assert load_noise(tmp_path / "trajectory_noise.bin").seed == 77
+
+
 def test_simulate_dump_noise_requires_recording(tmp_path, capsys):
     rc = run(
         tmp_path, "simulate",
@@ -567,6 +616,46 @@ def test_control_report_and_gram_csv(tmp_path, capsys):
         assert abs(float(r["eig_max"]) - 0.5) <= 0.05
 
 
+def load_run_experiments():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_combined_exit_code_precedence():
+    assert combined_exit_code([]) == 0
+    assert combined_exit_code([0, 3, 2]) == 2
+    assert combined_exit_code([3, 0]) == 3
+    assert combined_exit_code([2, 70, 3]) == 70
+    assert combined_exit_code([70, 64, 2]) == 64
+
+
+def test_smoke_runs_share_one_exit_code_rule(tmp_path, capsys, monkeypatch):
+    # a failed run outranks an inconclusive one in both the script and selftest
+    script = load_run_experiments()
+    codes, calls = iter([2, 3, 0, 0, 0, 0]), []
+    monkeypatch.setattr(script, "cli_main", lambda argv: calls.append(argv[0]) or next(codes))
+    assert script.main(["--out", str(tmp_path)]) == 2
+    assert calls == list(SMOKE)
+    # a configuration error stops the run
+    codes, calls = iter([3, 64]), []
+    assert script.main(["--out", str(tmp_path)]) == 64
+    assert calls == list(SMOKE)[:2]
+
+    verdicts = iter([(False, False), (True, True), (True, False)] + [(True, False)] * 3)
+
+    def fake_run(cfg):
+        passed, inconclusive = next(verdicts)
+        return make_report(cfg.experiment, cfg, 0, {}, [make_gate("g", 0.0 if passed else 1.0, 0.5, "le")],
+                           inconclusive)
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    assert main(["selftest", "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+
+
 def test_selftest_passes_on_defaults(tmp_path, capsys):
     rc = run(tmp_path, "selftest")
     out = capsys.readouterr().out
@@ -578,11 +667,7 @@ def test_selftest_passes_on_defaults(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
     # `run_experiments.py --quick` runs at selftest's scale, so it writes the
     # same reports
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.py"
-    spec = importlib.util.spec_from_file_location("run_experiments", script)
-    run_experiments = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_experiments)
-    rc = run_experiments.main(["--quick", "--only", "linear", "nstability", "--out", str(tmp_path)])
+    rc = load_run_experiments().main(["--quick", "--only", "linear", "nstability", "--out", str(tmp_path)])
     capsys.readouterr()
     assert rc == 0
     for name in ("linear", "nstability"):

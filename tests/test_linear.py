@@ -11,6 +11,7 @@ import scipy.integrate
 import scipy.linalg
 
 from conftest import is_hermitian, random_state, zero_state
+from gibbsdyn.flow import FlowConfig, evolve_ensemble
 from gibbsdyn.linear_dynamics import (
     NoisePath,
     build_table,
@@ -19,12 +20,12 @@ from gibbsdyn.linear_dynamics import (
     lam,
     propagate_states,
     propagator,
-    sample_stick,
     stationary_covariance,
     states_to_increment_form,
     step_covariance,
     xalpha_norm,
 )
+from gibbsdyn.rng import stream
 from gibbsdyn.spectral import (
     GridSpec,
     bracket2,
@@ -39,6 +40,7 @@ from oracles import (
     generator_matrices,
     mode_matrix,
     stick_covariance,
+    stick_samples,
 )
 
 
@@ -307,25 +309,34 @@ def test_draw_increments_stream_stability():
 # ---------------------------------------------------------------------------
 
 
-def test_stick_zero_time():
-    grid = GridSpec(1, 9, 2.0)
-    table = build_table(grid, 0.1)
-    z, path = sample_stick(0.0, table, np.random.default_rng(0))
-    assert z.shape == (2, grid.n_modes)
-    assert np.all(z == 0)
-    assert path.n_steps == 0
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "grid", [GridSpec(1, 9, 2.0), GridSpec(2, 7, 3.0), GridSpec(3, 5, 4.0)], ids=["d1", "d2", "d3"]
+)
+def test_ensemble_from_zero_is_the_stick(grid, threads):
+    # the damped linear flow from zero is the stochastic convolution; the
+    # decay experiment samples it through the ensemble engine, whose draws
+    # consume each stream in the same order however the rows and steps are
+    # blocked, and whose complex propagator multiplies like the real one
+    flow = FlowConfig(grid, N=-1, gamma=0.0, h=0.1, T=0.5)
+    count = 7
 
+    def streams():
+        return [stream(5, 9, i) for i in range(count)]
 
-def test_stick_replays_its_path():
-    grid = GridSpec(2, 7, 3.0)
-    table = build_table(grid, 0.1)
-    z, path = sample_stick(0.5, table, np.random.default_rng(1))
-    assert path.n_steps == 5
-    state = np.zeros((2, grid.n_modes), dtype=complex)
-    for k in range(path.n_steps):
-        state = propagate_states(table.S, state) + increments_to_states(grid, path.increments[k])
-    assert np.array_equal(z, state)
-    assert is_hermitian(grid, z, 1e-14)
+    want = stick_samples(flow.T, build_table(grid, flow.h / 2), streams())
+    for row_chunk, time_block in ((1024, 128), (3, 2)):
+        _, _, finals = evolve_ensemble(
+            flow,
+            np.zeros((count, 2, grid.n_modes), dtype=complex),
+            streams(),
+            sample_every=flow.n_steps,
+            row_chunk=row_chunk,
+            time_block=time_block,
+            threads=threads,
+        )
+        assert np.array_equal(finals, want)
+    assert is_hermitian(grid, want[0], 1e-14)
 
 
 def test_stick_stationary_variance():
