@@ -71,7 +71,7 @@ DEFAULTS: dict[str, dict] = {
         "grid": {"d": 1, "M": 18, "s": 2.0},
         "flow": {"N": 4, "gamma": 0.1, "h": 0.01, "T": 1.0},
         "gibbs": {"N": 4, "gamma": 0.1},
-        "experiment": {"ensemble_size": 512, "ess_floor": 64.0},
+        "experiment": {"ensemble_size": 2048, "ess_floor": 64.0},
     },
     "ergodicity": {
         "grid": {"d": 1, "M": 18, "s": 2.0},

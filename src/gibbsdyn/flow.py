@@ -43,6 +43,11 @@ from .spectral import (
 )
 
 ENERGY_CEILING = 1e12
+# evolve_ensemble's working set: a row chunk's states take at most BATCH_ITEMS
+# complex entries and its draw block at most DRAW_ITEMS, within these caps
+MAX_ROW_CHUNK = 1024
+MAX_TIME_BLOCK = 128
+DRAW_ITEMS = 32 * BATCH_ITEMS
 
 
 @dataclass(frozen=True)
@@ -337,8 +342,8 @@ def evolve_ensemble(
     observables: dict[str, callable] | None = None,
     *,
     sample_every: int | None = None,
-    row_chunk: int = 1024,
-    time_block: int = 128,
+    row_chunk: int | None = None,
+    time_block: int | None = None,
     threads: int = 1,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
     """Evolve a batch of trajectories with independent per-row streams.
@@ -346,6 +351,12 @@ def evolve_ensemble(
     initial_states: (B, 2, n_modes) complex.  observables maps names to
     vectorized functions (grid, states block) -> (rows,) values, evaluated at
     t = 0 and every sample_every steps (default: the thinning default).
+
+    Rows are stepped in chunks of row_chunk rows, and each chunk draws its
+    increments time_block steps at a time.  By default both follow from the
+    batch budget: a chunk's states fill at most BATCH_ITEMS complex entries
+    and its draw block at most DRAW_ITEMS, so memory stays bounded whatever
+    the grid, the ensemble size and the horizon.
 
     Returns (sample_times, {name: (n_samples, B)}, final_states).  Values
     depend only on the generators' streams and the config; row chunking, time
@@ -368,6 +379,12 @@ def evolve_ensemble(
         name: np.empty((len(sample_times), B)) for name in obs
     }
     finals = np.empty_like(initial_states)
+    if row_chunk is None:
+        row_chunk = min(MAX_ROW_CHUNK, max(1, BATCH_ITEMS // (2 * grid.n_modes)))
+    if time_block is None:
+        # a block is (rows, 2 * steps, n_half, 2) complex
+        per_step = max(1, min(row_chunk, B)) * 4 * table.n_half
+        time_block = min(MAX_TIME_BLOCK, max(1, DRAW_ITEMS // per_step))
 
     def run_chunk(lo: int, hi: int) -> None:
         gens = generators[lo:hi]

@@ -256,7 +256,7 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     states0 = sample_mu_states(grid, rng.stream(cfg.master_seed, 0), count)
     log_weights = -interaction_states(states0, gibbs)
-    ens = WeightedEnsemble(grid, states0.copy(), log_weights, cfg.master_seed)
+    ens = WeightedEnsemble(grid, states0, log_weights, cfg.master_seed)
     battery = resolve_battery(cfg.observables, grid)
 
     _, series, finals = evolve_ensemble(

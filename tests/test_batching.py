@@ -4,8 +4,12 @@
 time, every remainder energy recomputed from `v_states()`, one Hoelder norm per
 propagated state in the decay-weighted norm.  The batched forms perform the
 same floating-point operations per row, so results are compared with
-np.array_equal and ==, never with a tolerance.
+np.array_equal and ==, never with a tolerance.  `evolve_ensemble`'s row
+chunks and draw blocks are held to the batch budget, and compared with the
+fixed 1024-row, 128-step chunking they replaced the same way.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -262,3 +266,80 @@ def test_holder_batches_hold_about_a_mebibyte():
         rows = holder_batch_rows(grid)
         entries = 2 * next_fast_len(2 * (2 * grid.K + 1)) ** grid.d  # per state
         assert rows * entries <= 1 << 16 < (rows + 1) * entries
+
+
+# ---------------------------------------------------------------------------
+# ensemble working set
+# ---------------------------------------------------------------------------
+
+# `linear`'s d=3 shape at 256 members, and criterion 3's M=66 shape at 2048;
+# 33 and 32 steps run past one derived draw block, and the fixed 1024-row,
+# 128-step form holds the whole run in one block per chunk
+WIDE = {
+    "linear-d3": (FlowConfig(GridSpec(3, 10, 4.0), -1, 0.0, 0.05, 1.65), 256),
+    "invariance-M66": (FlowConfig(GridSpec(1, 66, 2.0), 16, 0.1, 0.01, 0.32), 2048),
+}
+
+
+def wide_run(shape, **kw):
+    cfg, count = WIDE[shape]
+    init = sample_mu_states(cfg.grid, rng.stream(8, 0), count)
+    gens = [rng.stream(8, 1, i) for i in range(count)]
+    battery = resolve_battery(("l2_u", "quartic"), cfg.grid)
+    return evolve_ensemble(cfg, init, gens, battery, sample_every=8, **kw)
+
+
+def record_draw_blocks(monkeypatch) -> list:
+    """Collect the block shape of every row draw evolve_ensemble makes."""
+    shapes = []
+    real = flow.draw_increments
+
+    def draw(table, gen, n_steps, out=None):
+        shapes.append(out.base.shape)
+        return real(table, gen, n_steps, out)
+
+    monkeypatch.setattr(flow, "draw_increments", draw)
+    return shapes
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("shape", list(WIDE))
+def test_wide_ensembles_stay_within_the_budget(shape, threads, monkeypatch):
+    cfg, count = WIDE[shape]
+    with monkeypatch.context() as m:
+        shapes = record_draw_blocks(m)
+        got = wide_run(shape, threads=threads)
+    rows = max(s[0] for s in shapes)
+    assert rows < count < len(shapes)  # several chunks, several blocks each
+    assert rows * 2 * cfg.grid.n_modes <= spectral.BATCH_ITEMS
+    assert max(np.prod(s) for s in shapes) <= flow.DRAW_ITEMS
+    # the derived chunking gives the values of the fixed one
+    want = wide_run(shape, threads=threads, row_chunk=1024, time_block=128)
+    assert np.array_equal(got[0], want[0])
+    for name in want[1]:
+        assert np.array_equal(got[1][name], want[1][name]), name
+    assert np.array_equal(got[2], want[2])
+
+
+def test_narrow_grids_keep_full_row_chunks(monkeypatch):
+    # criterion 12's 2560 members at M=18 are three row chunks (1024, 1024,
+    # 512), so its thread-count check runs the pool on unequal chunks
+    grid = GridSpec(1, 18, 2.0)
+    cfg = FlowConfig(grid, 4, 0.1, 0.01, 0.02)  # one block per chunk
+    init = np.zeros((2560, 2, grid.n_modes), dtype=complex)
+    shapes = record_draw_blocks(monkeypatch)
+    evolve_ensemble(cfg, init, [rng.stream(9, 1, i) for i in range(2560)], threads=2)
+    assert Counter(s[0] for s in shapes) == {1024: 2048, 512: 512}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_leaves_initial_states_untouched(threads):
+    grid = GRIDS[1]
+    cfg = FlowConfig(grid, CUBES[1], 0.5, 0.01, 0.07)
+    init = sample_mu_states(grid, rng.stream(7, 0), ROWS)
+    kept = init.copy()
+    evolve_ensemble(
+        cfg, init, [rng.stream(7, 1, i) for i in range(ROWS)],
+        resolve_battery(BATTERY, grid), row_chunk=2, time_block=3, threads=threads,
+    )
+    assert np.array_equal(init, kept)
