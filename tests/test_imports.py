@@ -1,9 +1,9 @@
-"""Import hygiene: the command line starts without scipy.
+"""Import hygiene: no subcommand loads scipy.
 
-scipy costs about 1 s to import, most of a default-scale run.  Only the KS
-steps of `invariance` and `linear` need it, and they import scipy.stats when
-they reach it.  Each check runs in a fresh interpreter, because this test
-process has scipy loaded already.
+scipy.stats costs about 1 s and 70 MB to import, most of a default-scale run,
+and the runtime depends on numpy alone (the KS steps use
+`harness.ks_2samp_equal`).  Each check runs in a fresh interpreter, because
+this test process has scipy loaded already.
 """
 
 import json
@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -68,7 +70,8 @@ out["codes"].append(run("invariance", *small, "--set", "gibbs.gamma=0"))
 out["gates_gamma0"] = [g["name"] for g in report("invariance")["gates"]]
 out["codes"].append(run("linear", "--set", "experiment.ensemble_size=64", "--set", "flow.T=2"))
 out["gates_linear"] = [g["name"] for g in report("linear")["gates"]]
-out["scipy_stats"] = "scipy.stats" in sys.modules
+out["ks_linear"] = {k: report("linear")["stats"][k] for k in ("ks_u0", "ks_ut0")}
+out["scipy"] = scipy_loaded()
 print(json.dumps(out))
 """)
     assert all(c in (0, 2, 3) for c in got["codes"]), got["codes"]
@@ -76,4 +79,33 @@ print(json.dumps(out))
     assert {"statistic", "pvalue"} <= set(got["ks"])
     assert "ks:mode_re:1" in got["gates_gamma0"]
     assert {"ks:u0", "ks:ut0"} <= set(got["gates_linear"])
-    assert got["scipy_stats"]
+    for ks in got["ks_linear"].values():
+        assert {"statistic", "pvalue"} <= set(ks)
+    assert got["scipy"] == []
+
+
+# a small run of every subcommand that the two tests above do not reach
+OTHER_SUBCOMMANDS = {
+    "sample": ["--set", "sample.count=64"],
+    "simulate": ["--set", "flow.T=1"],
+    "decay": ["--set", "experiment.ensemble_size=32"],
+    "nstability": [],
+    "control": ["--set", "control.steps=256"],
+    "selftest": [],
+}
+
+
+def test_every_subcommand_is_checked():
+    from gibbsdyn.cli import COMMANDS
+
+    assert set(OTHER_SUBCOMMANDS) | {"coupling", "ergodicity", "invariance", "linear"} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("name", OTHER_SUBCOMMANDS)
+def test_subcommand_loads_no_scipy(tmp_path, name):
+    got = run_fresh(tmp_path, f"""
+code = run({name!r}, *{OTHER_SUBCOMMANDS[name]!r})
+print(json.dumps({{"code": code, "scipy": scipy_loaded()}}))
+""")
+    assert got["code"] in (0, 2, 3), got["code"]
+    assert got["scipy"] == []
