@@ -400,8 +400,8 @@ def _cmd_simulate(name: str, cfg: dict, out: Path) -> ExperimentReport:
     section = cfg["simulate"]
     alpha = cfg["experiment"]["alpha"]
     thin = section["thin_every"]
-    if thin is not None and not isinstance(thin, int):
-        raise ConfigError(f"simulate.thin_every must be an integer or null, got {thin!r}")
+    if thin is not None and (not isinstance(thin, int) or thin < 1):
+        raise ConfigError(f"simulate.thin_every must be a positive integer or null, got {thin!r}")
     initial = section["initial"]
     if initial == "zero":
         u0 = np.zeros((2, grid.n_modes), dtype=complex)

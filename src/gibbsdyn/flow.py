@@ -34,9 +34,9 @@ from .linear_dynamics import (
 from .spectral import (
     BATCH_ITEMS,
     TWO_PI,
+    CubePlan,
     GridSpec,
     abs2_modes,
-    cube_index,
     dealiased_cube_coeffs,
     holder_norm,
     quartic_integral_coeffs,
@@ -114,21 +114,25 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def kick_states(cfg: FlowConfig, states: np.ndarray, h: float) -> None:
+def kick_states(cfg: FlowConfig, states: np.ndarray, h: float, plan: CubePlan | None = None) -> None:
     """In-place velocity shear p -= h * gamma * P_N (P_N u)^3 on flat states.
 
     Only the velocity modes inside the cube change; the shear is zero outside.
+    A plan built for the states' batch shape supplies the cube's tables and
+    scratch; without one, a throwaway plan is built.
     """
     if cfg.gamma == 0.0 or cfg.N < 0:
         return
     grid = cfg.grid
-    batch = states.shape[:-2]
+    if plan is None:
+        plan = CubePlan(grid, cfg.N, states.shape[:-2])
     # splitting the last axis into the mode shape always gives views
-    u = states[..., 0, :].reshape(batch + grid.mode_shape)
-    p = states[..., 1, :].reshape(batch + grid.mode_shape)
-    cube = cube_index(grid, cfg.N)
-    p_cube = p[cube]
-    p_cube -= (h * cfg.gamma) * dealiased_cube_coeffs(grid, u, cfg.N)[cube]
+    u = states[..., 0, :].reshape(plan.shape)
+    p_cube = states[..., 1, :].reshape(plan.shape)[plan.cube]
+    # the plan's output is scratch, so the shear is scaled in place
+    shear = dealiased_cube_coeffs(grid, u, cfg.N, plan)[plan.cube]
+    shear *= h * cfg.gamma
+    p_cube -= shear
 
 
 class Stepper:
@@ -137,19 +141,15 @@ class Stepper:
     `evolve` and `evolve_ensemble` both advance states with `run`, so one
     sequence of operations defines the scheme: propagate and add the first
     half-step increment, kick, propagate and add the second.  The half-step
-    propagator is held in the layout `propagate_states` reads fastest.  Arrays
-    are allocated per call, so one stepper can serve several threads.
+    propagator is held in the layout `propagate_states` reads fastest.  Each
+    `run` builds its own cube plan and state buffers, so one stepper can
+    serve several threads.
     """
 
     def __init__(self, cfg: FlowConfig):
         self.cfg = cfg
         self.table = build_table(cfg.grid, cfg.h / 2)
         self.S = propagator_columns(self.table.S)
-
-    def _half(self, layers: np.ndarray, inc: np.ndarray) -> np.ndarray:
-        out = propagate_states(self.S, layers)
-        out += inc
-        return out
 
     def run(self, layers: np.ndarray, blocks, visit_steps=(), visit=None) -> np.ndarray:
         """Advance layers (L, rows, 2, n_modes) through an iterable of half-step
@@ -159,9 +159,13 @@ class Stepper:
         a recorded run carries its linear solution as layer 1 and one
         propagation and one increment add serve both.  After each step k in
         the container visit_steps, visit(k, layers) runs, and the run stops
-        when it returns True.
+        when it returns True.  The caller's layers are never written: the
+        half-steps alternate between two buffers of this run, and the
+        returned layers (and those handed to visit) are one of them.
         """
         cfg, grid = self.cfg, self.cfg.grid
+        plan = CubePlan(grid, cfg.N, layers.shape[1:2]) if cfg.gamma != 0.0 and cfg.N >= 0 else None
+        into_first, into_second = np.empty((2,) + layers.shape, dtype=complex)
         # half-steps per scatter: whole blocks for narrow batches, one at a
         # time once a half-step's increments alone exceed the budget
         span = max(1, BATCH_ITEMS // (2 * layers.shape[1] * grid.n_modes))
@@ -170,9 +174,14 @@ class Stepper:
             for lo in range(0, eta.shape[1], span):
                 inc = increments_to_states(grid, eta[:, lo : lo + span])
                 for j in range(inc.shape[1]):
-                    layers = self._half(layers, inc[:, j])
-                    if (lo + j) % 2 == 0:  # the kick sits between the half-steps
-                        kick_states(cfg, layers[0], cfg.h)
+                    # first half-steps go into one buffer and second ones
+                    # into the other (blocks hold whole steps), so a
+                    # half-step never writes the states it reads
+                    first = (lo + j) % 2 == 0
+                    layers = propagate_states(self.S, layers, into_first if first else into_second)
+                    layers += inc[:, j]
+                    if first:  # the kick sits between the half-steps
+                        kick_states(cfg, layers[0], cfg.h, plan)
                         continue
                     k += 1
                     if k in visit_steps and visit(k, layers):
@@ -248,7 +257,9 @@ def evolve(
             raise ValueError("replay path too short for the requested horizon")
     elif gen is None:
         raise ValueError("need a generator when no noise path is given")
-    thin = default_thin(cfg.h) if thin_every is None else max(1, thin_every)
+    if thin_every is not None and thin_every < 1:
+        raise ValueError(f"thin_every must be a positive integer, got {thin_every}")
+    thin = default_thin(cfg.h) if thin_every is None else thin_every
     for name, given in (("initial state", state0), ("initial remainder", initial_remainder)):
         if given is not None and np.shape(given) != (2, grid.n_modes):
             raise ValueError(

@@ -67,16 +67,18 @@ def step_covariance(grid: GridSpec, h: float) -> np.ndarray:
     return 0.5 * (Q + np.swapaxes(Q, 1, 2))
 
 
-def propagate_states(S: np.ndarray, states: np.ndarray) -> np.ndarray:
+def propagate_states(S: np.ndarray, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply per-mode 2x2 matrices S (n_modes, 2, 2) to flat states (..., 2, n_modes).
 
     out[..., :, m] = S[m, :, 0] * states[..., 0, m] + S[m, :, 1] * states[..., 1, m],
     as two broadcast products over the columns of S.  A complex S whose memory
     holds each column as one contiguous (2, n_modes) block (see
-    `propagator_columns`) is applied with no casting or strided reads.
+    `propagator_columns`) is applied with no casting or strided reads.  The
+    result goes into `out` when one is given; it must not share memory with
+    states.
     """
     cols = S.transpose(2, 1, 0)  # cols[j][i, m] = S[m, i, j]
-    out = cols[0] * states[..., 0:1, :]
+    out = np.multiply(cols[0], states[..., 0:1, :], out=out)
     out += cols[1] * states[..., 1:2, :]
     return out
 

@@ -282,7 +282,53 @@ def _half_cube(grid: GridSpec, N: int) -> tuple:
     return pos, neg, blocks
 
 
-def dealiased_cube_coeffs(grid: GridSpec, coeffs: np.ndarray, N: int) -> np.ndarray:
+class CubePlan:
+    """Tables and scratch of `dealiased_cube_coeffs` for one grid, cube size
+    N >= 0 and batch shape.
+
+    It holds the `_half_cube` and `cube_index` tables and every array the
+    cube passes through, with their views precomputed: the half-spectrum
+    embedding, the grid values, the cubed values, their spectrum and the
+    mode-shaped output.  A call with the plan writes into these buffers and
+    returns `out`, which the next call overwrites; so a plan serves one
+    thread.
+    """
+
+    def __init__(self, grid: GridSpec, N: int, batch: tuple):
+        if grid.M < 4 * N + 2:
+            raise AliasError(
+                f"grid M={grid.M} too small for alias-free cubing at N={N} (need M >= {4 * N + 2})"
+            )
+        if N < 0:
+            raise ValueError(f"a cube plan needs N >= 0, got {N}")
+        M, d = grid.M, grid.d
+        batch = tuple(batch)
+        self.N = N
+        self.shape = batch + grid.mode_shape
+        pos, neg, blocks = _half_cube(grid, N)
+        self.pos, self.neg = pos, neg
+        self.cube = cube_index(grid, N)
+        half = batch + (M,) * (d - 1) + (M // 2 + 1,)
+        # only the last axis' positions 0..N are ever written, so the other
+        # columns of the embedding stay zero
+        self.emb = np.zeros(half, dtype=complex)
+        self.cols = self.emb[..., : N + 1]
+        self.vals = np.empty(batch + (M,) * d)
+        self.cubed = np.empty_like(self.vals)
+        self.rspec = np.empty(half, dtype=complex)
+        self.spec = self.rspec[..., : N + 1]
+        # entries outside the cube are never written and stay zero
+        self.out = np.zeros(self.shape, dtype=complex)
+        hi, lo = self.out[pos], self.out[neg]
+        self.embed = tuple((self.emb[g], c) for g, c in blocks)
+        self.gather = tuple((self.spec[g], hi[c]) for g, c in blocks)
+        self.hi_rest, self.lo_rest = hi[..., 1:], lo[..., 1:]
+        self.hi_zero, self.lo_zero = hi[..., 0], lo[..., 0]
+
+
+def dealiased_cube_coeffs(
+    grid: GridSpec, coeffs: np.ndarray, N: int, plan: CubePlan | None = None
+) -> np.ndarray:
     """Coefficients of P_N (P_N u)^3 for batched coefficient arrays, where u is
     the real field of the Hermitian part of the input.
 
@@ -290,47 +336,50 @@ def dealiased_cube_coeffs(grid: GridSpec, coeffs: np.ndarray, N: int) -> np.ndar
     the M^d grid, so the transforms are ifft over the leading axes and irfft
     over the last, then rfft and fft back.  The mirror half of the result is
     filled by conjugation, so it is exactly Hermitian.
+
+    With a plan built for (grid, N, the input's batch shape) the result is
+    the plan's `out`, overwritten by the next call; without one, a
+    throwaway plan is built, so both run the same transforms.
     """
-    if N < -1:
-        raise ValueError(f"cube size must be >= -1, got {N}")
-    if N == -1:
-        return np.zeros_like(coeffs)
-    if grid.M < 4 * N + 2:
-        raise AliasError(
-            f"grid M={grid.M} too small for alias-free cubing at N={N} (need M >= {4 * N + 2})"
-        )
+    if plan is None:
+        if N < -1:
+            raise ValueError(f"cube size must be >= -1, got {N}")
+        if N == -1:
+            return np.zeros_like(coeffs)
+        plan = CubePlan(grid, N, coeffs.shape[: coeffs.ndim - grid.d])
+    elif plan.N != N or plan.shape != coeffs.shape:
+        raise ValueError(f"plan for N={plan.N}, shape {plan.shape} used at N={N}, shape {coeffs.shape}")
     M, d = grid.M, grid.d
-    pos, neg, blocks = _half_cube(grid, N)
-    emb = np.zeros(coeffs.shape[: coeffs.ndim - d] + (M,) * (d - 1) + (M // 2 + 1,), dtype=complex)
-    above, below = coeffs[pos], coeffs[neg]
-    for g, c in blocks:
+    cols, vals, cube, spec = plan.cols, plan.vals, plan.cubed, plan.spec
+    if d > 1:
+        # the last call's leading-axis ifft spread values over every row of
+        # these columns, and the cube's modes fill only some of them
+        cols.fill(0.0)
+    above, below = coeffs[plan.pos], coeffs[plan.neg]
+    for part, c in plan.embed:
         # twice the Hermitian part, c[n] + conj(c[-n]), so the field comes out
         # doubled and its cube 8 times too big; the exact 1/8 comes off at the end
-        part = emb[g]
         np.conj(below[c], out=part)
         part += above[c]
     # norm="forward" leaves the inverse transforms unscaled, so they give grid
     # values, and puts the 1/M of each axis on the forward transforms
-    cols = emb[..., : N + 1]
     for axis in range(-2, -d - 1, -1):
-        cols[...] = np.fft.ifft(cols, axis=axis, norm="forward")
-    vals = np.fft.irfft(emb, M, axis=-1, norm="forward")
-    cube = vals * vals
+        np.fft.ifft(cols, axis=axis, norm="forward", out=cols)
+    np.fft.irfft(plan.emb, M, axis=-1, norm="forward", out=vals)
+    np.multiply(vals, vals, out=cube)
     cube *= vals
-    spec = np.fft.rfft(cube, axis=-1, norm="forward")[..., : N + 1]
+    np.fft.rfft(cube, axis=-1, norm="forward", out=plan.rspec)
     for axis in range(-2, -d - 1, -1):
-        spec = np.fft.fft(spec, axis=axis, norm="forward")
-    out = np.zeros(coeffs.shape, dtype=complex)
-    hi, lo = out[pos], out[neg]
-    for g, c in blocks:
-        np.multiply(spec[g], 0.125, out=hi[c])
-    np.conj(hi[..., 1:], out=lo[..., 1:])
+        np.fft.fft(spec, axis=axis, norm="forward", out=spec)
+    for part, dest in plan.gather:
+        np.multiply(part, 0.125, out=dest)
+    np.conj(plan.hi_rest, out=plan.lo_rest)
     if d > 1:
         # the plane of last coordinate 0 is its own mirror image; in one
         # dimension it is the zero mode, which rfft returns real
-        hi[..., 0] += np.conj(lo[..., 0])
-        hi[..., 0] *= 0.5
-    return out
+        plan.hi_zero += np.conj(plan.lo_zero)
+        plan.hi_zero *= 0.5
+    return plan.out
 
 
 # ---------------------------------------------------------------------------

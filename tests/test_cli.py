@@ -111,6 +111,8 @@ def test_value_kinds_follow_the_defaults():
         ("sample", "--set", "sample.count=true"),
         ("simulate", "--set", 'simulate.thin_every="abc"'),
         ("simulate", "--set", "simulate.thin_every=2.5"),
+        ("simulate", "--set", "flow.T=0.5", "--set", "simulate.thin_every=0"),
+        ("simulate", "--set", "flow.T=0.5", "--set", "simulate.thin_every=-3"),
         ("decay", "--set", 'experiment.alpha="abc"'),
         ("nstability", "--set", "experiment.n_values=[2,3]"),
         ("nstability", "--set", "experiment.n_values=[2,4]"),
@@ -124,7 +126,8 @@ def test_value_kinds_follow_the_defaults():
     ],
     ids=[
         "control-t-string", "control-steps-float", "sample-burn_in-string", "sample-count-bool",
-        "simulate-thin-string", "simulate-thin-float", "decay-alpha-string",
+        "simulate-thin-string", "simulate-thin-float", "simulate-thin-zero",
+        "simulate-thin-negative", "decay-alpha-string",
         "nstability-no-pair", "nstability-one-pair", "coupling-one-scale", "coupling-zero-scale",
         "decay-zero-time", "decay-no-window", "decay-half-step", "invariance-no-observable",
         "ergodicity-no-observable",

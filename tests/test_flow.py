@@ -141,6 +141,14 @@ def test_evolve_zero_noise_linear_is_propagator(rng):
         assert np.max(np.abs(s - want)) < 1e-10
 
 
+@pytest.mark.parametrize("thin", [0, -3])
+def test_evolve_rejects_nonpositive_thinning(rng, thin):
+    # it used to thin every step instead
+    cfg = make_cfg(T=0.5)
+    with pytest.raises(ValueError, match="thin_every"):
+        evolve(random_state(cfg.grid, rng), cfg, np.random.default_rng(8), thin_every=thin)
+
+
 def test_evolve_replay_reproduces(rng):
     cfg = make_cfg(record_noise=True, T=0.5)
     u0 = random_state(cfg.grid, rng)

@@ -5,7 +5,9 @@ propagation, zero-filled fancy-index scatter, masked np.ix_ cube over the
 full complex spectrum).  Propagation, scatter and transforms perform the
 same floating-point operations in the same order as those forms, and the
 draws differ only by a commuted addition and a dropped exact-zero term, so
-they are compared with np.array_equal.  The dealiased cube goes through the half
+they are compared with np.array_equal.  `Stepper.run`, which reuses one cube
+plan and two state buffers over a run, is compared bit for bit with the
+planless per-step sequence.  The dealiased cube goes through the half
 spectrum with real transforms, and the quartic integral takes its fourth
 power as two squarings, which round differently: those comparisons, and the
 kicks and steps built on them, allow max|got - want| <= 1e-13 * max|want|.
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gibbsdyn import flow
 from gibbsdyn.flow import FlowConfig, Stepper, kick_states
 from gibbsdyn.gibbs import sample_mu_states
 from gibbsdyn.linear_dynamics import (
@@ -25,6 +28,7 @@ from gibbsdyn.linear_dynamics import (
     propagator_columns,
 )
 from gibbsdyn.spectral import (
+    CubePlan,
     GridSpec,
     coeffs_to_grid,
     cube_mask,
@@ -262,3 +266,59 @@ def test_half_spectrum_cube_guarantees(d):
         kick_states(cfg, real, cfg.h)
         # hermitianize returns its argument unchanged only on exact symmetry
         assert np.array_equal(hermitianize(grid, pairs(real)), pairs(real))
+
+
+@pytest.mark.parametrize("span", [None, 3], ids=["whole-blocks", "span-3"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stepper_run_equals_planless_steps(monkeypatch, d, span):
+    # the run's cube plan and ping-pong buffers change no bit: every state it
+    # visits and returns equals propagate + increment, then a planless kick,
+    # over several blocks, with a second (unkicked) layer; an odd scatter span
+    # splits the blocks across the buffers' alternation
+    grid = GRIDS[d]
+    rows = 3
+    if span is not None:
+        monkeypatch.setattr(flow, "BATCH_ITEMS", span * 2 * rows * grid.n_modes)
+    cfg = FlowConfig(grid, n_max(grid), 0.5, 0.05, 0.35)
+    stepper = Stepper(cfg)
+    layers = 0.3 * np.stack([random_states(grid, (rows,), 20 + i) for i in range(2)])
+    given = layers.copy()
+    eta = np.stack([random_increments(grid, (14,), 30 + r) for r in range(rows)])
+    seen = {}
+
+    def visit(k, states):
+        seen[k] = states.copy()
+
+    got = stepper.run(layers, [eta[:, :4], eta[:, 4:6], eta[:, 6:]], range(1, 8), visit)
+    assert np.array_equal(layers, given)  # the caller's layers are never written
+
+    want = given
+    for i in range(14):
+        want = propagate_states(stepper.S, want)
+        want += increments_to_states(grid, eta[:, i])
+        if i % 2 == 0:
+            kick_states(cfg, want[0], cfg.h)
+        else:
+            assert np.array_equal(seen[(i + 1) // 2], want)
+    assert sorted(seen) == list(range(1, 8))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cube_plan_reuse_matches_fresh_calls(d):
+    # one plan over several different inputs: no value of an earlier call
+    # leaks into a later one (at d > 1 the leading-axis ifft fills rows of the
+    # embedding that the next call's cube does not write)
+    grid = GRIDS[d]
+    batch = (4,)
+    for N in sorted({0, n_max(grid)}):
+        plan = CubePlan(grid, N, batch)
+        for seed, scale in ((40, 1.0), (41, 0.01), (42, 30.0)):
+            coeffs = scale * random_states(grid, batch, seed)[..., 0, :].reshape(batch + grid.mode_shape)
+            got = dealiased_cube_coeffs(grid, coeffs, N, plan)
+            assert got is plan.out
+            assert np.array_equal(got, dealiased_cube_coeffs(grid, coeffs, N))
+    with pytest.raises(ValueError, match="plan"):
+        dealiased_cube_coeffs(grid, coeffs[:1], N, plan)
+    with pytest.raises(ValueError, match="plan"):
+        dealiased_cube_coeffs(grid, coeffs, N - 1, plan)

@@ -1,13 +1,17 @@
 """The repository's tools still find the library: the benchmark's layer
-tracer names, the quickstart script, and the CLI's subcommand tables."""
+tracer names and the calls it needs, the quickstart script, and the CLI's
+subcommand tables."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from gibbsdyn import cli, harness
 from gibbsdyn.flow import Trajectory, evolve
@@ -37,6 +41,51 @@ def test_every_traced_layer_resolves():
             assert callable(resolve("l2_u", GridSpec(1, 9, 2.0)))
             continue
         assert callable(getattr(module, fn_name, None)), qual
+
+
+# installs the benchmark's tracer in a fresh process, runs one smoke
+# experiment and prints the tracer's summary as the last stdout line
+TRACED_SMOKE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("layertrace", sys.argv[1])
+layertrace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layertrace)
+tracer = layertrace.Tracer()
+tracer.install()
+from gibbsdyn import cli
+name = sys.argv[3]
+cli.main([name, "--out", sys.argv[2], *(x for item in cli.SMOKE[name] for x in ("--set", item))])
+print(json.dumps(tracer.summary()))
+"""
+
+# the stepping layers a traced benchmark run requires on every workload
+STEP_LAYERS = (
+    "flow.kick_states",
+    "spectral.dealiased_cube_coeffs",
+    "linear_dynamics.propagate_states",
+    "linear_dynamics.increments_to_states",
+    "linear_dynamics.draw_increments",
+)
+
+
+@pytest.mark.parametrize("name", ["ergodicity", "coupling"])
+def test_traced_smoke_calls_every_stepping_layer(tmp_path, name):
+    # a kernel change that stops calling a traced layer (say, a kick that no
+    # longer goes through kick_states and dealiased_cube_coeffs) must fail
+    # here, not only in a traced benchmark run
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_SMOKE, str(ROOT / "perfbench" / "layertrace.py"), str(tmp_path), name],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    for layer in STEP_LAYERS:
+        assert summary[layer]["calls"] > 0, layer
+    cube = summary["spectral.dealiased_cube_coeffs"]
+    assert cube["fft_points"] > 0
+    # every kick goes through one dealiased cube
+    assert cube["calls"] == summary["flow.kick_states"]["calls"]
 
 
 def test_evolve_work_counter_inputs():
