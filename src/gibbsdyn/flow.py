@@ -119,13 +119,16 @@ def kick_states(cfg: FlowConfig, states: np.ndarray, h: float, plan: CubePlan | 
 
     Only the velocity modes inside the cube change; the shear is zero outside.
     A plan built for the states' batch shape supplies the cube's tables and
-    scratch; without one, a throwaway plan is built.
+    scratch; without one, a throwaway plan is built, or nothing happens when
+    gamma == 0 or N < 0.
     """
-    if cfg.gamma == 0.0 or cfg.N < 0:
-        return
     grid = cfg.grid
     if plan is None:
+        if cfg.gamma == 0.0 or cfg.N < 0:
+            return
         plan = CubePlan(grid, cfg.N, states.shape[:-2])
+    elif states.shape[:-2] != plan.batch:
+        raise ValueError(f"plan for batch {plan.batch} used on states of shape {states.shape}")
     # splitting the last axis into the mode shape always gives views
     u = states[..., 0, :].reshape(plan.shape)
     p_cube = states[..., 1, :].reshape(plan.shape)[plan.cube]
@@ -164,6 +167,7 @@ class Stepper:
         returned layers (and those handed to visit) are one of them.
         """
         cfg, grid = self.cfg, self.cfg.grid
+        # the one place a run decides whether it kicks
         plan = CubePlan(grid, cfg.N, layers.shape[1:2]) if cfg.gamma != 0.0 and cfg.N >= 0 else None
         into_first, into_second = np.empty((2,) + layers.shape, dtype=complex)
         # half-steps per scatter: whole blocks for narrow batches, one at a
@@ -181,7 +185,8 @@ class Stepper:
                     layers = propagate_states(self.S, layers, into_first if first else into_second)
                     layers += inc[:, j]
                     if first:  # the kick sits between the half-steps
-                        kick_states(cfg, layers[0], cfg.h, plan)
+                        if plan is not None:
+                            kick_states(cfg, layers[0], cfg.h, plan)
                         continue
                     k += 1
                     if k in visit_steps and visit(k, layers):

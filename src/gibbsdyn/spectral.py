@@ -303,7 +303,7 @@ class CubePlan:
             raise ValueError(f"a cube plan needs N >= 0, got {N}")
         M, d = grid.M, grid.d
         batch = tuple(batch)
-        self.N = N
+        self.N, self.batch = N, batch
         self.shape = batch + grid.mode_shape
         pos, neg, blocks = _half_cube(grid, N)
         self.pos, self.neg = pos, neg

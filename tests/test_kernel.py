@@ -322,3 +322,14 @@ def test_cube_plan_reuse_matches_fresh_calls(d):
         dealiased_cube_coeffs(grid, coeffs[:1], N, plan)
     with pytest.raises(ValueError, match="plan"):
         dealiased_cube_coeffs(grid, coeffs, N - 1, plan)
+
+
+def test_kick_rejects_plan_of_another_batch_shape():
+    # a plan for 4 rows does not serve a (2, 2) batch, though the sizes agree
+    grid = GRIDS[2]
+    cfg = FlowConfig(grid, n_max(grid), 0.5, 0.05, 0.35)
+    plan = CubePlan(grid, cfg.N, (4,))
+    states = random_states(grid, (2, 2), 50)
+    with pytest.raises(ValueError, match="plan"):
+        kick_states(cfg, states, cfg.h, plan)
+    kick_states(cfg, states.reshape((4, 2, grid.n_modes)), cfg.h, plan)
