@@ -19,6 +19,7 @@ cube at all times.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,19 +155,20 @@ class Stepper:
         self.table = build_table(cfg.grid, cfg.h / 2)
         self.S = propagator_columns(self.table.S)
 
-    def run(self, layers: np.ndarray, blocks, visit_steps=(), visit=None) -> np.ndarray:
+    def run(self, layers: np.ndarray, blocks, every: int):
         """Advance layers (L, rows, 2, n_modes) through an iterable of half-step
-        increment blocks, each (rows, 2 * steps, n_half, 2), and return them.
+        increment blocks, each (rows, 2 * steps, n_half, 2), yielding (k,
+        layers) after each step k of sample_steps(cfg.n_steps, every).
 
         Every layer takes the same increments, and only layer 0 is kicked, so
         a recorded run carries its linear solution as layer 1 and one
-        propagation and one increment add serve both.  After each step k in
-        the container visit_steps, visit(k, layers) runs, and the run stops
-        when it returns True.  The caller's layers are never written: the
-        half-steps alternate between two buffers of this run, and the
-        returned layers (and those handed to visit) are one of them.
+        propagation and one increment add serve both.  A caller stops the run
+        with break.  The caller's layers are never written: the half-steps
+        alternate between two buffers of this run, and the yielded layers are
+        one of them, valid until the next step.
         """
         cfg, grid = self.cfg, self.cfg.grid
+        samples = set(sample_steps(cfg.n_steps, every))
         # the one place a run decides whether it kicks
         plan = CubePlan(grid, cfg.N, layers.shape[1:2]) if cfg.gamma != 0.0 and cfg.N >= 0 else None
         into_first, into_second = np.empty((2,) + layers.shape, dtype=complex)
@@ -189,9 +191,17 @@ class Stepper:
                             kick_states(cfg, layers[0], cfg.h, plan)
                         continue
                     k += 1
-                    if k in visit_steps and visit(k, layers):
-                        return layers
-        return layers
+                    if k in samples:
+                        yield k, layers
+
+
+def sample_steps(n_steps: int, every: int) -> list[int]:
+    """The steps a run of n_steps samples after: every `every`-th step, and
+    the last step."""
+    steps = list(range(every, n_steps + 1, every))
+    if n_steps % every:
+        steps.append(n_steps)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +290,11 @@ def evolve(
         np.empty((2 * n_steps, table.n_half, 2), dtype=complex) if record else None
     )
 
-    sample_steps = {k for k in range(1, n_steps + 1) if k % thin == 0 or k == n_steps}
-    n_samples = len(sample_steps) + 1
-    times = [0.0]
+    times = np.array([0.0] + [k * cfg.h for k in sample_steps(n_steps, thin)])
     # layer 0 holds the states, layer 1 the linear states of a recorded run
-    kept = np.empty((2 if record else 1, n_samples, 2, grid.n_modes), dtype=complex)
-    kept[0, 0] = state
-    if record:
-        kept[1, 0] = linear
+    layers = np.stack((state, linear)) if record else state[None]
+    kept = np.empty((len(layers), len(times), 2, grid.n_modes), dtype=complex)
+    kept[:, 0] = layers
     energies = [float(energy_states(grid, (state - linear)[None])[0])] if record else None
     blowup_time = None
 
@@ -306,41 +313,29 @@ def evolve(
                 eta = draw_increments(table, gen, span.stop - span.start, out)
             yield eta[None]
 
-    def visit(k: int, layers: np.ndarray) -> bool:
-        nonlocal blowup_time
-        t = k * cfg.h
-        kept[:, len(times)] = layers[:, 0]
-        times.append(t)
+    i = k = 0
+    for i, (k, layers) in enumerate(stepper.run(layers[:, None], blocks(), thin), 1):
+        kept[:, i] = layers[:, 0]
         probe = layers[0] - layers[1] if record else layers[0]
         finite = np.all(np.isfinite(probe.view(float)))
-        if finite:
+        # a recorded run keeps the energy of a non-finite remainder too; only
+        # that case silences numpy, as errstate slows every ufunc it covers
+        with nullcontext() if finite else np.errstate(all="ignore"):
             e = float(energy_states(grid, probe)[0])
-        elif record:
-            # a recorded run keeps the energy of a non-finite remainder too
-            with np.errstate(all="ignore"):
-                e = float(energy_states(grid, probe)[0])
         if record:
             energies.append(e)
         # a finite remainder can still overflow to a NaN energy
-        if not finite or not e <= ENERGY_CEILING:
-            blowup_time = t
-            return True
-        return False
+        if not (finite and e <= ENERGY_CEILING):
+            blowup_time = k * cfg.h
+            break
 
-    layers = np.stack((state, linear)) if record else state[None]
-    stepper.run(layers[:, None], blocks(), sample_steps, visit)
-
-    path = None
-    if record:
-        drawn = increments if blowup_time is None else increments[: 2 * round(blowup_time / cfg.h)]
-        path = NoisePath(grid, cfg.h / 2, drawn)
-    kept = kept[:, : len(times)]
     return Trajectory(
         grid,
-        np.array(times),
-        kept[0],
-        path,
-        kept[1] if record else None,
+        times[: i + 1],
+        kept[0, : i + 1],
+        # the last sample step is the last step run
+        NoisePath(grid, cfg.h / 2, increments[: 2 * k]) if record else None,
+        kept[1, : i + 1] if record else None,
         blowup_time,
         np.array(energies) if record else None,
     )
@@ -358,8 +353,6 @@ def evolve_ensemble(
     observables: dict[str, callable] | None = None,
     *,
     sample_every: int | None = None,
-    row_chunk: int | None = None,
-    time_block: int | None = None,
     threads: int = 1,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
     """Evolve a batch of trajectories with independent per-row streams.
@@ -368,11 +361,12 @@ def evolve_ensemble(
     vectorized functions (grid, states block) -> (rows,) values, evaluated at
     t = 0 and every sample_every steps (default: the thinning default).
 
-    Rows are stepped in chunks of row_chunk rows, and each chunk draws its
-    increments time_block steps at a time.  By default both follow from the
-    batch budget: a chunk's states fill at most BATCH_ITEMS complex entries
-    and its draw block at most DRAW_ITEMS, so memory stays bounded whatever
-    the grid, the ensemble size and the horizon.
+    Rows are stepped in chunks, and each chunk draws its increments a block
+    of steps at a time.  Both sizes follow from the batch budget: a chunk's
+    states fill at most BATCH_ITEMS complex entries and its draw block at
+    most DRAW_ITEMS, within MAX_ROW_CHUNK rows and MAX_TIME_BLOCK steps, so
+    memory stays bounded whatever the grid, the ensemble size and the
+    horizon.
 
     Returns (sample_times, {name: (n_samples, B)}, final_states).  Values
     depend only on the generators' streams and the config; row chunking, time
@@ -387,28 +381,24 @@ def evolve_ensemble(
     if len(generators) != B:
         raise ValueError("one generator per trajectory row is required")
     every = default_thin(cfg.h) if sample_every is None else max(1, sample_every)
-    sample_steps = [k for k in range(1, n_steps + 1) if k % every == 0 or k == n_steps]
-    sample_times = np.array([0.0] + [k * cfg.h for k in sample_steps])
-    sample_index = {k: i + 1 for i, k in enumerate(sample_steps)}
+    steps = sample_steps(n_steps, every)
+    sample_times = np.array([0.0] + [k * cfg.h for k in steps])
     obs = observables or {}
     series = {
         name: np.empty((len(sample_times), B)) for name in obs
     }
     finals = np.empty_like(initial_states)
-    if row_chunk is None:
-        row_chunk = min(MAX_ROW_CHUNK, max(1, BATCH_ITEMS // (2 * grid.n_modes)))
-    if time_block is None:
-        # a block is (rows, 2 * steps, n_half, 2) complex
-        per_step = max(1, min(row_chunk, B)) * 4 * table.n_half
-        time_block = min(MAX_TIME_BLOCK, max(1, DRAW_ITEMS // per_step))
+    chunk_rows = min(MAX_ROW_CHUNK, max(1, BATCH_ITEMS // (2 * grid.n_modes)))
+    # a block is (rows, 2 * steps, n_half, 2) complex
+    per_step = max(1, min(chunk_rows, B)) * 4 * table.n_half
+    block_steps = min(MAX_TIME_BLOCK, max(1, DRAW_ITEMS // per_step))
 
     def run_chunk(lo: int, hi: int) -> None:
         gens = generators[lo:hi]
         # samples are held and observed in one call per observable, as many
         # as the batch budget allows and at least one
-        per_call = max(1, min(len(sample_steps), BATCH_ITEMS // ((hi - lo) * 2 * grid.n_modes)))
+        per_call = max(1, min(len(steps), BATCH_ITEMS // ((hi - lo) * 2 * grid.n_modes)))
         held = np.empty((per_call, hi - lo, 2, grid.n_modes), dtype=complex)
-        first, count = 0, 0  # series index of held[0], samples held
 
         def observe(idx: int, states: np.ndarray) -> None:
             # states (n, rows, 2, n_modes) are the samples idx .. idx + n - 1
@@ -417,35 +407,25 @@ def evolve_ensemble(
             for name, fn in obs.items():
                 series[name][idx : idx + n, lo:hi] = fn(grid, flat).reshape(n, hi - lo)
 
-        def flush() -> None:
-            nonlocal count
-            if count:
-                observe(first, held[:count])
-                count = 0
-
-        def visit(k: int, layers: np.ndarray) -> None:
-            nonlocal first, count
-            if count == per_call:
-                flush()
-            if not count:
-                first = sample_index[k]
-            held[count] = layers[0]
-            count += 1
-
         def blocks():
-            for k in range(0, n_steps, time_block):
-                nb = min(time_block, n_steps - k)
+            for k in range(0, n_steps, block_steps):
+                nb = min(block_steps, n_steps - k)
                 draws = np.empty((hi - lo, 2 * nb, table.n_half, 2), dtype=complex)
                 for r, gen in enumerate(gens):
                     draw_increments(table, gen, 2 * nb, draws[r])
                 yield draws
 
-        observe(0, initial_states[None, lo:hi])
-        layers = stepper.run(initial_states[None, lo:hi], blocks(), sample_index, visit)
-        flush()
+        layers = initial_states[None, lo:hi]
+        observe(0, layers)
+        # sample i + 1 is held at i % per_call until held is full or the run ends
+        for i, (k, layers) in enumerate(stepper.run(layers, blocks(), every)):
+            j = i % per_call
+            held[j] = layers[0]
+            if j == per_call - 1 or k == n_steps:
+                observe(i - j + 1, held[: j + 1])
         finals[lo:hi] = layers[0]
 
-    chunks = [(lo, min(lo + row_chunk, B)) for lo in range(0, B, row_chunk)]
+    chunks = [(lo, min(lo + chunk_rows, B)) for lo in range(0, B, chunk_rows)]
     if threads > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 

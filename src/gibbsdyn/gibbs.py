@@ -156,8 +156,8 @@ def sample_rho(
         states = sample_mu_states(cfg.grid, gen, count)
         return WeightedEnsemble(cfg.grid, states, -interaction_states(states, cfg))
     if method == "imh":
-        if burn_in >= count:
-            raise ValueError("burn-in must be smaller than count")
+        if not 0 <= burn_in < count:
+            raise ValueError(f"burn-in {burn_in} outside [0, count={count})")
         total = count + burn_in
         proposals = sample_mu_states(cfg.grid, gen, total)
         vals = interaction_states(proposals, cfg)

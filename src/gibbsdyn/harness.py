@@ -219,6 +219,16 @@ def make_report(
     )
 
 
+def _kicked_flow(cfg: ExperimentConfig, gamma: float) -> FlowConfig:
+    """The flow of an experiment whose check holds only at interaction
+    strength gamma, its kick scaled by kick_factor.  Any other flow.gamma is
+    an error rather than silently replaced, so the echoed config is the one
+    that ran."""
+    if cfg.flow.gamma != gamma:
+        raise ValueError(f"{cfg.experiment} needs flow.gamma = {gamma}, got {cfg.flow.gamma}")
+    return replace(cfg.flow, gamma=gamma * cfg.kick_factor, grid=cfg.grid)
+
+
 def _member_streams(cfg: ExperimentConfig, group: int, count: int) -> list:
     return [rng.stream(cfg.master_seed, group, i) for i in range(count)]
 
@@ -286,7 +296,7 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError("invariance requires flow and gibbs configs")
     grid = cfg.grid
     gibbs = cfg.gibbs
-    flow = replace(cfg.flow, gamma=gibbs.gamma * cfg.kick_factor, grid=grid)
+    flow = _kicked_flow(cfg, gibbs.gamma)
     count = cfg.ensemble_size
 
     states0 = sample_mu_states(grid, rng.stream(cfg.master_seed, 0), count)
@@ -375,7 +385,11 @@ def ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError("ergodicity requires flow and gibbs configs")
     grid = cfg.grid
     gibbs = cfg.gibbs
-    flow = replace(cfg.flow, gamma=gibbs.gamma * cfg.kick_factor, grid=grid)
+    flow = _kicked_flow(cfg, gibbs.gamma)
+    burn = cfg.resolved_burn_in()
+    # the late window starts at 2 * burn_in, and both windows must hold samples
+    if not 0 <= 2 * burn < flow.T:
+        raise ValueError(f"burn_in {burn} outside [0, T/2) for T = {flow.T}")
     battery = resolve_battery(cfg.observables, grid)
 
     initials = _default_initial_states(cfg)
@@ -389,7 +403,6 @@ def ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         threads=cfg.threads,
     )
     _require_finite(finals, series)
-    burn = cfg.resolved_burn_in()
     keep = times > burn
     keep_late = times > 2 * burn if burn > 0 else keep
 
@@ -448,7 +461,7 @@ def linear_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.flow is None:
         raise ValueError("linear mixing requires a flow config")
     grid = cfg.grid
-    flow = replace(cfg.flow, gamma=0.0, grid=grid, record_noise=True)
+    flow = replace(_kicked_flow(cfg, 0.0), record_noise=True)
 
     pair0 = sample_mu_states(grid, rng.stream(cfg.master_seed, 5), 2)
     traj0 = evolve(pair0[0], flow, rng.stream(cfg.master_seed, 6))

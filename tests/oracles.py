@@ -230,7 +230,6 @@ def ensemble_series(cfg, initial_states, generators, observables, sample_every=N
     n_steps = cfg.n_steps
     every = default_thin(cfg.h) if sample_every is None else max(1, sample_every)
     steps = [k for k in range(1, n_steps + 1) if k % every == 0 or k == n_steps]
-    index = {k: i + 1 for i, k in enumerate(steps)}
     series = {name: np.empty((len(steps) + 1, initial_states.shape[0])) for name in observables}
 
     def observe(i, states):
@@ -239,9 +238,9 @@ def ensemble_series(cfg, initial_states, generators, observables, sample_every=N
 
     draws = np.stack([linear_dynamics.draw_increments(stepper.table, gen, 2 * n_steps) for gen in generators])
     observe(0, initial_states)
-    layers = stepper.run(
-        initial_states[None], [draws], index, lambda k, layers: observe(index[k], layers[0])
-    )
+    layers = initial_states[None]
+    for i, (k, layers) in enumerate(stepper.run(layers, [draws], every), 1):
+        observe(i, layers[0])
     times = np.array([0.0] + [k * cfg.h for k in steps])
     return times, series, layers[0]
 
@@ -379,7 +378,7 @@ def step(
     if abs(table.h - cfg.h / 2) > 1e-12 * cfg.h:
         raise ValueError("table must be built at half the flow step")
     eta = linear_dynamics.draw_increments(table, gen, 2)
-    layers = Stepper(cfg).run(np.asarray(state, dtype=complex)[None, None], [eta[None]])
+    *_, (_, layers) = Stepper(cfg).run(np.asarray(state, dtype=complex)[None, None], [eta[None]], 1)
     return layers[0, 0], eta
 
 

@@ -6,7 +6,9 @@ propagated state in the decay-weighted norm.  The batched forms perform the
 same floating-point operations per row, so results are compared with
 np.array_equal and ==, never with a tolerance.  `evolve_ensemble`'s row
 chunks and draw blocks are held to the batch budget, and compared with the
-fixed 1024-row, 128-step chunking they replaced the same way.
+fixed 1024-row, 128-step chunking they replaced the same way.  Tests set the
+chunk and block sizes through the caps `flow.MAX_ROW_CHUNK` and
+`flow.MAX_TIME_BLOCK`.
 """
 
 from collections import Counter
@@ -58,10 +60,13 @@ def same(a, b) -> bool:
 def test_ensemble_series_match_per_sample_loop(d, time_block, row_chunk, threads, budget, monkeypatch):
     grid = GRIDS[d]
     cfg = FlowConfig(grid, CUBES[d], 0.5, 0.01, 0.37)
+    monkeypatch.setattr(flow, "MAX_ROW_CHUNK", row_chunk)
+    monkeypatch.setattr(flow, "MAX_TIME_BLOCK", time_block)
     if budget == "small":
-        # one sample of ROWS rows exceeds the budget and one row does not, so
-        # row_chunk=ROWS holds a single sample at a time and row_chunk=1
-        # holds three, and batches cross time blocks of 1 and 3 steps
+        # a sample of three rows fills the budget, so the ROWS cap splits
+        # the rows into chunks of 3 and 2 that hold a single sample at a
+        # time, a chunk of one row holds three, and batches cross time
+        # blocks of 1 and 3 steps
         monkeypatch.setattr(flow, "BATCH_ITEMS", 3 * 2 * grid.n_modes)
     init = sample_mu_states(grid, rng.stream(5, 0), ROWS)
     battery = resolve_battery(BATTERY, grid)
@@ -70,10 +75,7 @@ def test_ensemble_series_match_per_sample_loop(d, time_block, row_chunk, threads
         return [rng.stream(5, 1, i) for i in range(ROWS)]
 
     want = oracles.ensemble_series(cfg, init, gens(), battery, sample_every=2)
-    got = evolve_ensemble(
-        cfg, init, gens(), battery,
-        sample_every=2, row_chunk=row_chunk, time_block=time_block, threads=threads,
-    )
+    got = evolve_ensemble(cfg, init, gens(), battery, sample_every=2, threads=threads)
     assert np.array_equal(got[0], want[0])
     assert set(got[1]) == set(BATTERY)
     for name in BATTERY:
@@ -81,15 +83,16 @@ def test_ensemble_series_match_per_sample_loop(d, time_block, row_chunk, threads
     assert np.array_equal(got[2], want[2])
 
 
-def test_ensemble_final_sample_off_the_thinning_grid():
+def test_ensemble_final_sample_off_the_thinning_grid(monkeypatch):
     # 37 steps sampled every 5: the last block ends on the extra final sample
+    monkeypatch.setattr(flow, "MAX_TIME_BLOCK", 8)
     grid = GRIDS[1]
     cfg = FlowConfig(grid, 4, 0.5, 0.01, 0.37)
     init = sample_mu_states(grid, rng.stream(6, 0), 3)
     battery = resolve_battery(BATTERY, grid)
     gens = lambda: [rng.stream(6, 1, i) for i in range(3)]  # noqa: E731
     want = oracles.ensemble_series(cfg, init, gens(), battery, sample_every=5)
-    got = evolve_ensemble(cfg, init, gens(), battery, sample_every=5, time_block=8)
+    got = evolve_ensemble(cfg, init, gens(), battery, sample_every=5)
     assert got[0][-1] == pytest.approx(0.37) and len(got[0]) == 9
     for name in BATTERY:
         assert np.array_equal(got[1][name], want[1][name]), name
@@ -313,8 +316,11 @@ def test_wide_ensembles_stay_within_the_budget(shape, threads, monkeypatch):
     assert rows < count < len(shapes)  # several chunks, several blocks each
     assert rows * 2 * cfg.grid.n_modes <= spectral.BATCH_ITEMS
     assert max(np.prod(s) for s in shapes) <= flow.DRAW_ITEMS
-    # the derived chunking gives the values of the fixed one
-    want = wide_run(shape, threads=threads, row_chunk=1024, time_block=128)
+    # the derived chunking gives the values of the fixed one: with budgets
+    # too large to bind, the caps set the chunks and blocks
+    for name in ("BATCH_ITEMS", "DRAW_ITEMS"):
+        monkeypatch.setattr(flow, name, 1 << 40)
+    want = wide_run(shape, threads=threads)
     assert np.array_equal(got[0], want[0])
     for name in want[1]:
         assert np.array_equal(got[1][name], want[1][name]), name
@@ -333,13 +339,15 @@ def test_narrow_grids_keep_full_row_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_ensemble_leaves_initial_states_untouched(threads):
+def test_ensemble_leaves_initial_states_untouched(threads, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_ROW_CHUNK", 2)
+    monkeypatch.setattr(flow, "MAX_TIME_BLOCK", 3)
     grid = GRIDS[1]
     cfg = FlowConfig(grid, CUBES[1], 0.5, 0.01, 0.07)
     init = sample_mu_states(grid, rng.stream(7, 0), ROWS)
     kept = init.copy()
     evolve_ensemble(
         cfg, init, [rng.stream(7, 1, i) for i in range(ROWS)],
-        resolve_battery(BATTERY, grid), row_chunk=2, time_block=3, threads=threads,
+        resolve_battery(BATTERY, grid), threads=threads,
     )
     assert np.array_equal(init, kept)

@@ -123,6 +123,13 @@ def test_value_kinds_follow_the_defaults():
         ("decay", "--set", "experiment.stick_time=0.05"),
         ("invariance", "--set", "experiment.observables=[]", "--set", "flow.T=0.1"),
         ("ergodicity", "--set", "experiment.observables=[]"),
+        ("sample", "--set", "sample.method=imh", "--set", "sample.burn_in=-5"),
+        ("invariance", "--set", "flow.gamma=5.0"),
+        ("ergodicity", "--set", "flow.gamma=0.2"),
+        ("linear", "--set", "flow.gamma=0.1"),
+        ("ergodicity", "--set", "flow.T=20.0", "--set", "experiment.burn_in=100.0"),
+        ("ergodicity", "--set", "flow.T=20.0", "--set", "experiment.burn_in=10.0"),
+        ("ergodicity", "--set", "flow.T=20.0", "--set", "experiment.burn_in=-1.0"),
     ],
     ids=[
         "control-t-string", "control-steps-float", "sample-burn_in-string", "sample-count-bool",
@@ -130,7 +137,9 @@ def test_value_kinds_follow_the_defaults():
         "simulate-thin-negative", "decay-alpha-string",
         "nstability-no-pair", "nstability-one-pair", "coupling-one-scale", "coupling-zero-scale",
         "decay-zero-time", "decay-no-window", "decay-half-step", "invariance-no-observable",
-        "ergodicity-no-observable",
+        "ergodicity-no-observable", "sample-burn_in-negative", "invariance-flow-gamma",
+        "ergodicity-flow-gamma", "linear-flow-gamma", "ergodicity-burn_in-late",
+        "ergodicity-burn_in-half", "ergodicity-burn_in-negative",
     ],
 )
 def test_malformed_values_exit_64(tmp_path, capsys, args):

@@ -10,6 +10,7 @@ import pytest
 import scipy.integrate
 
 from conftest import random_state, zero_state
+from gibbsdyn import flow
 from gibbsdyn import rng as rngmod
 from gibbsdyn.flow import (
     FlowConfig,
@@ -232,7 +233,7 @@ def test_evolve_blowup_detection(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_ensemble_matches_single_and_is_batch_invariant(rng):
+def test_ensemble_matches_single_and_is_batch_invariant(rng, monkeypatch):
     cfg = make_cfg(T=0.5)
     grid = cfg.grid
     B = 6
@@ -249,8 +250,10 @@ def test_ensemble_matches_single_and_is_batch_invariant(rng):
         traj = evolve(init[i], cfg, rngmod.stream(seed, 1, i))
         assert np.array_equal(traj.states[-1], f1[i])
     # chunking/time blocking/threads never change values
-    t2, s2, f2 = evolve_ensemble(cfg, init, gens(), obs, row_chunk=2, time_block=3)
-    t3, s3, f3 = evolve_ensemble(cfg, init, gens(), obs, row_chunk=2, threads=3)
+    monkeypatch.setattr(flow, "MAX_ROW_CHUNK", 2)
+    t3, s3, f3 = evolve_ensemble(cfg, init, gens(), obs, threads=3)
+    monkeypatch.setattr(flow, "MAX_TIME_BLOCK", 3)
+    t2, s2, f2 = evolve_ensemble(cfg, init, gens(), obs)
     assert np.array_equal(f1, f2) and np.array_equal(f1, f3)
     assert np.array_equal(s1["l2u"], s2["l2u"]) and np.array_equal(s1["l2u"], s3["l2u"])
     assert np.array_equal(t1, t2)
@@ -259,7 +262,7 @@ def test_ensemble_matches_single_and_is_batch_invariant(rng):
 @pytest.mark.parametrize(
     "grid,N", [(GridSpec(2, 10, 3.0), 2), (GridSpec(3, 6, 4.0), 1)], ids=["d2", "d3"]
 )
-def test_ensemble_matches_single_in_higher_dimensions(grid, N, rng):
+def test_ensemble_matches_single_in_higher_dimensions(grid, N, rng, monkeypatch):
     cfg = FlowConfig(grid, N, 0.5, 0.05, 0.35)  # 7 steps
     B = 5
     init = np.stack([random_state(grid, rng) for _ in range(B)])
@@ -281,10 +284,34 @@ def test_ensemble_matches_single_in_higher_dimensions(grid, N, rng):
     assert np.array_equal(rec.states[-1], f1[0])
     # several row chunks on two threads, time blocks that do not divide the
     # step count: the same values
-    t2, s2, f2 = evolve_ensemble(cfg, init, gens(), obs, row_chunk=2, time_block=3, threads=2)
+    monkeypatch.setattr(flow, "MAX_ROW_CHUNK", 2)
+    monkeypatch.setattr(flow, "MAX_TIME_BLOCK", 3)
+    t2, s2, f2 = evolve_ensemble(cfg, init, gens(), obs, threads=2)
     assert np.array_equal(f1, f2)
     assert np.array_equal(s1["quartic"], s2["quartic"])
     assert np.array_equal(t1, t2)
+
+
+def test_zero_horizon_returns_the_initial_states(rng):
+    # at T=0 the stepper yields nothing: both drivers return their inputs
+    cfg = make_cfg(T=0.0)
+    grid = cfg.grid
+    u0, v0 = random_state(grid, rng), random_state(grid, rng)
+    traj = evolve(u0, cfg, np.random.default_rng(1))
+    assert np.array_equal(traj.times, [0.0]) and np.array_equal(traj.states, u0[None])
+    rec = evolve(u0, make_cfg(T=0.0, record_noise=True), np.random.default_rng(1), initial_remainder=v0)
+    assert np.array_equal(rec.times, [0.0]) and rec.blowup_time is None
+    assert np.array_equal(rec.states, (u0 + v0)[None])
+    assert np.array_equal(rec.linear_states, u0[None])
+    assert rec.noise.n_steps == 0
+    assert np.array_equal(rec.energies, [energy_states(grid, (u0 + v0 - u0)[None])[0]])
+
+    init = np.stack([random_state(grid, rng) for _ in range(3)])
+    obs = {"l2u": lambda g, s: np.sum(np.abs(s[:, 0, :]) ** 2, axis=1)}
+    times, series, finals = evolve_ensemble(cfg, init, [rngmod.stream(3, 1, i) for i in range(3)], obs)
+    assert np.array_equal(times, [0.0])
+    assert np.array_equal(series["l2u"], obs["l2u"](grid, init)[None])
+    assert np.array_equal(finals, init)
 
 
 # ---------------------------------------------------------------------------

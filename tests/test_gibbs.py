@@ -227,6 +227,9 @@ def test_sample_rho_errors():
         sample_rho(cfg, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_rho(cfg, 10, np.random.default_rng(0), method="imh", burn_in=10)
+    with pytest.raises(ValueError, match="burn-in"):
+        # fewer proposals than samples would return unwritten rows
+        sample_rho(cfg, 64, np.random.default_rng(0), method="imh", burn_in=-5)
     with pytest.raises(ValueError):
         sample_rho(cfg, 10, np.random.default_rng(0), method="nope")
 

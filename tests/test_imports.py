@@ -66,7 +66,7 @@ def test_ks_steps_still_run(tmp_path):
 small = ["--set", "experiment.ensemble_size=64", "--set", "experiment.ess_floor=8", "--set", "flow.T=0.2"]
 out = {"codes": [run("invariance", *small)]}
 out["ks"] = report("invariance")["stats"].get("ks")
-out["codes"].append(run("invariance", *small, "--set", "gibbs.gamma=0"))
+out["codes"].append(run("invariance", *small, "--set", "gibbs.gamma=0", "--set", "flow.gamma=0.0"))
 out["gates_gamma0"] = [g["name"] for g in report("invariance")["gates"]]
 out["codes"].append(run("linear", "--set", "experiment.ensemble_size=64", "--set", "flow.T=2"))
 out["gates_linear"] = [g["name"] for g in report("linear")["gates"]]

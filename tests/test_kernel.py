@@ -216,7 +216,8 @@ def test_stepper_matches_reference_steps(d, batch):
             states = 0.3 * random_states(grid, batch, 8)
             linear = 0.3 * random_states(grid, batch, 9)
             eta = np.stack([random_increments(grid, (6,), 10 + r) for r in range(batch[0])])
-            got, got_lin = stepper.run(np.stack((states, linear)), [eta[:, :4], eta[:, 4:]])
+            *_, (k, (got, got_lin)) = stepper.run(np.stack((states, linear)), [eta[:, :4], eta[:, 4:]], 1)
+            assert k == 3
             want, want_lin = states, linear
             for k in range(3):
                 pair = np.moveaxis(eta[:, 2 * k : 2 * k + 2], 1, 0)
@@ -272,7 +273,7 @@ def test_half_spectrum_cube_guarantees(d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stepper_run_equals_planless_steps(monkeypatch, d, span):
     # the run's cube plan and ping-pong buffers change no bit: every state it
-    # visits and returns equals propagate + increment, then a planless kick,
+    # yields equals propagate + increment, then a planless kick,
     # over several blocks, with a second (unkicked) layer; an odd scatter span
     # splits the blocks across the buffers' alternation
     grid = GRIDS[d]
@@ -285,11 +286,8 @@ def test_stepper_run_equals_planless_steps(monkeypatch, d, span):
     given = layers.copy()
     eta = np.stack([random_increments(grid, (14,), 30 + r) for r in range(rows)])
     seen = {}
-
-    def visit(k, states):
-        seen[k] = states.copy()
-
-    got = stepper.run(layers, [eta[:, :4], eta[:, 4:6], eta[:, 6:]], range(1, 8), visit)
+    for k, got in stepper.run(layers, [eta[:, :4], eta[:, 4:6], eta[:, 6:]], 1):
+        seen[k] = got.copy()
     assert np.array_equal(layers, given)  # the caller's layers are never written
 
     want = given
@@ -302,6 +300,34 @@ def test_stepper_run_equals_planless_steps(monkeypatch, d, span):
             assert np.array_equal(seen[(i + 1) // 2], want)
     assert sorted(seen) == list(range(1, 8))
     assert np.array_equal(got, want)
+
+
+def test_sample_steps_are_every_kth_and_the_last():
+    for n_steps in range(12):
+        for every in range(1, 6):
+            want = [k for k in range(1, n_steps + 1) if k % every == 0 or k == n_steps]
+            assert flow.sample_steps(n_steps, every) == want
+
+
+def test_stepper_yields_its_sample_steps_and_stops_on_break():
+    # 7 steps sampled every 3 yield after steps 3, 6 and 7; a break after
+    # step 3 leaves every later block undrawn
+    grid = GRIDS[1]
+    cfg = FlowConfig(grid, n_max(grid), 0.5, 0.05, 0.35)
+    layers = 0.3 * random_states(grid, (1, 2), 60)
+    eta = random_increments(grid, (14,), 61)[None]
+    taken = []
+
+    def blocks():
+        for lo in range(0, 14, 2):
+            taken.append(lo // 2 + 1)
+            yield eta[:, lo : lo + 2]
+
+    assert [k for k, _ in Stepper(cfg).run(layers, blocks(), 3)] == [3, 6, 7]
+    taken.clear()
+    for k, _ in Stepper(cfg).run(layers, blocks(), 3):
+        break
+    assert k == 3 and taken == [1, 2, 3]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -11,6 +11,7 @@ import scipy.integrate
 import scipy.linalg
 
 from conftest import is_hermitian, random_state, zero_state
+from gibbsdyn import flow as flow_module
 from gibbsdyn.flow import FlowConfig, evolve_ensemble
 from gibbsdyn.linear_dynamics import (
     NoisePath,
@@ -313,7 +314,7 @@ def test_draw_increments_stream_stability():
 @pytest.mark.parametrize(
     "grid", [GridSpec(1, 9, 2.0), GridSpec(2, 7, 3.0), GridSpec(3, 5, 4.0)], ids=["d1", "d2", "d3"]
 )
-def test_ensemble_from_zero_is_the_stick(grid, threads):
+def test_ensemble_from_zero_is_the_stick(grid, threads, monkeypatch):
     # the damped linear flow from zero is the stochastic convolution; the
     # decay experiment samples it through the ensemble engine, whose draws
     # consume each stream in the same order however the rows and steps are
@@ -326,13 +327,13 @@ def test_ensemble_from_zero_is_the_stick(grid, threads):
 
     want = stick_samples(flow.T, build_table(grid, flow.h / 2), streams())
     for row_chunk, time_block in ((1024, 128), (3, 2)):
+        monkeypatch.setattr(flow_module, "MAX_ROW_CHUNK", row_chunk)
+        monkeypatch.setattr(flow_module, "MAX_TIME_BLOCK", time_block)
         _, _, finals = evolve_ensemble(
             flow,
             np.zeros((count, 2, grid.n_modes), dtype=complex),
             streams(),
             sample_every=flow.n_steps,
-            row_chunk=row_chunk,
-            time_block=time_block,
             threads=threads,
         )
         assert np.array_equal(finals, want)
