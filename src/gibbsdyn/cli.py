@@ -363,20 +363,25 @@ def _cmd_experiment(name: str, cfg: dict, out: Path) -> ExperimentReport:
 def _cmd_sample(name: str, cfg: dict, out: Path) -> ExperimentReport:
     grid = _build(GridSpec, cfg, "grid")
     section = cfg["sample"]
-    measure, count = section["measure"], section["count"]
+    measure, count, method, burn_in = (section[k] for k in ("measure", "count", "method", "burn_in"))
     if count < 1:
         raise ConfigError("sample.count must be a positive integer")
+    if measure not in ("mu", "rho"):
+        raise ConfigError(f"unknown measure {measure!r} (expected 'mu' or 'rho')")
+    # refuse a setting the run would ignore rather than echo it in the report
+    if measure == "mu" and method != "reweight":
+        raise ConfigError(f"sample.method={method!r} does not apply to sample.measure='mu'")
+    if burn_in != 0 and (measure, method) != ("rho", "imh"):
+        raise ConfigError("sample.burn_in applies only to sample.measure='rho' with sample.method='imh'")
     gen = rng.stream(cfg["seed"], 0)
 
     if measure == "mu":
         states = sample_mu_states(grid, gen, count)
         ens = WeightedEnsemble(grid, states, np.zeros(count), seed=cfg["seed"])
-    elif measure == "rho":
-        gibbs = _build(GibbsConfig, cfg, "gibbs", grid=grid)
-        ens = sample_rho(gibbs, count, gen, method=section["method"], burn_in=section["burn_in"])
-        ens.seed = cfg["seed"]
     else:
-        raise ConfigError(f"unknown measure {measure!r} (expected 'mu' or 'rho')")
+        gibbs = _build(GibbsConfig, cfg, "gibbs", grid=grid)
+        ens = sample_rho(gibbs, count, gen, method=method, burn_in=burn_in)
+        ens.seed = cfg["seed"]
 
     path = out / f"ensemble_{measure}.bin"
     save_ensemble(path, ens)

@@ -1,9 +1,9 @@
-"""Binary container for noise paths, weighted ensembles, and control paths.
+"""Binary container for noise paths and weighted ensembles.
 
-One fixed little-endian layout, shared by the three payload kinds and
+One fixed little-endian layout, shared by the two payload kinds and
 distinguished by a four-byte magic tag:
 
-  magic    4 bytes   GDNP noise path / GDEN weighted ensemble / GDCP control
+  magic    4 bytes   GDNP noise path / GDEN weighted ensemble
   version  u16       currently 1
   d        u32       spatial dimension
   M        u32       modes per axis
@@ -19,7 +19,6 @@ lexicographic representatives of each +-n pair):
   noise path  per step, per mode: Re eta_u, Im eta_u, Re eta_p, Im eta_p
   ensemble    per member: the state in the same 4-f64-per-mode layout,
               then its log-weight
-  control     per step, per mode: Re h_hat, Im h_hat
 
 Mirrored modes are reconstructed from Hermitian symmetry on load.
 """
@@ -31,14 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import ControlPath
 from .gibbs import WeightedEnsemble
 from .linear_dynamics import NoisePath, increments_to_states, states_to_increment_form
 from .spectral import GridSpec, half_lattice
 
 MAGIC_NOISE = b"GDNP"
 MAGIC_ENSEMBLE = b"GDEN"
-MAGIC_CONTROL = b"GDCP"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sHIIddQQQ")
@@ -53,7 +50,7 @@ def _unpack_header(blob: bytes) -> tuple[bytes, GridSpec, float, int, int, int]:
     if len(blob) < _HEADER.size:
         raise ValueError("container file truncated before the header ends")
     magic, version, d, M, s, h, count, seed, n_half = _HEADER.unpack_from(blob)
-    if magic not in (MAGIC_NOISE, MAGIC_ENSEMBLE, MAGIC_CONTROL):
+    if magic not in (MAGIC_NOISE, MAGIC_ENSEMBLE):
         raise ValueError(f"not a recognized container (magic {magic!r})")
     if version != VERSION:
         raise ValueError(f"unsupported container version {version}")
@@ -100,20 +97,6 @@ def save_ensemble(path: str | Path, ens: WeightedEnsemble) -> None:
     Path(path).write_bytes(header + rows.astype("<f8").tobytes())
 
 
-def save_control(path: str | Path, ctrl: ControlPath) -> None:
-    ctrl.check()
-    header = _pack_header(MAGIC_CONTROL, ctrl.grid, ctrl.h, ctrl.n_steps, 0)
-    body = _complex_to_f64(ctrl.values[..., None]).astype("<f8").tobytes()
-    Path(path).write_bytes(header + body)
-
-
-def sniff(path: str | Path) -> str:
-    """Return the payload kind of a container file: noise/ensemble/control."""
-    blob = Path(path).read_bytes()
-    magic = _unpack_header(blob)[0]
-    return {MAGIC_NOISE: "noise", MAGIC_ENSEMBLE: "ensemble", MAGIC_CONTROL: "control"}[magic]
-
-
 def load_noise(path: str | Path) -> NoisePath:
     blob = Path(path).read_bytes()
     magic, grid, h, count, seed, n_half = _unpack_header(blob)
@@ -138,13 +121,3 @@ def load_ensemble(path: str | Path) -> WeightedEnsemble:
     out.check()
     return out
 
-
-def load_control(path: str | Path) -> ControlPath:
-    blob = Path(path).read_bytes()
-    magic, grid, h, count, seed, n_half = _unpack_header(blob)
-    if magic != MAGIC_CONTROL:
-        raise ValueError("container does not hold a control path")
-    flat = _payload(blob, (count, n_half, 2))
-    out = ControlPath(grid, h, _f64_to_complex(flat)[..., 0])
-    out.check()
-    return out

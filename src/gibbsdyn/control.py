@@ -1,16 +1,12 @@
-"""Controllability and change-of-measure toolkit for the driven linear system.
+"""Controllability of the driven linear system.
 
 A control is a real velocity-channel forcing field h(t', x), piecewise
 constant on a step grid.  Per Fourier mode, its effect over one step is the
 exact integral of the propagator against (0, sqrt(2) h_hat): the shift
-direction mhat = sqrt(2) * A^{-1}(S(h)-I) e_2 from the propagator table.
-Because of that, adding a control to recorded noise increments shifts the
-simulated linear trajectory by exactly the control's image — the discrete
-Cameron--Martin picture with no quadrature error.
-
-The log density of the shifted path law against the unshifted one is the
-product over steps and modes of exact Gaussian likelihood ratios; its
-expectation over fresh noise is exactly one.
+direction mhat = sqrt(2) * A^{-1}(S(h)-I) e_2.  `forward_map` sums those
+exact one-step images, `right_inverse` finds the minimum-norm control that
+reaches a target, and `gram_form` is the per-mode controllability form in
+closed form.
 """
 
 from __future__ import annotations
@@ -20,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linear_dynamics import (
-    NoisePath,
-    build_table,
     increments_to_states,
     propagator,
     shift_direction,
@@ -84,19 +78,12 @@ class ControlPath:
     def n_steps(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def horizon(self) -> float:
-        return self.n_steps * self.h
-
     def check(self) -> None:
         nh = half_lattice(self.grid).size
         if self.values.ndim != 2 or self.values.shape[1] != nh:
             raise ValueError("control array shape does not match grid")
         if np.max(np.abs(self.values[:, 0].imag), initial=0.0) > 1e-12:
             raise ValueError("zero-mode control must be real")
-
-    def scaled(self, a: float) -> "ControlPath":
-        return ControlPath(self.grid, self.h, a * self.values)
 
 
 def _step_columns(grid: GridSpec, h: float, n_steps: int) -> np.ndarray:
@@ -148,55 +135,3 @@ def right_inverse(grid: GridSpec, w: np.ndarray, t: float, steps: int = 2048) ->
     y = np.linalg.solve(G, what[..., None])[..., 0]  # (n_half, 2) complex
     values = np.einsum("jma,ma->jm", cols[::-1], y)
     return ControlPath(grid, h, values)
-
-
-# ---------------------------------------------------------------------------
-# Cameron--Martin shifts and the likelihood ratio
-# ---------------------------------------------------------------------------
-
-
-def shift_noise(noise: NoisePath, ctrl: ControlPath) -> NoisePath:
-    """Add the control's per-step increment shifts mhat * h_hat to the noise."""
-    _check_match(ctrl, noise)
-    table = build_table(ctrl.grid, ctrl.h)
-    shifts = ctrl.values[..., None] * table.mhat[None, :, :]
-    shifted = noise.increments.copy()
-    shifted[: ctrl.n_steps] += shifts
-    return NoisePath(noise.grid, noise.h, shifted, noise.seed)
-
-
-def control_sq_norm(ctrl: ControlPath) -> float:
-    """Squared Cameron--Martin norm: the exact quadrature sum of kappa-weighted
-    squared control values over all modes (mirrored modes counted)."""
-    table = build_table(ctrl.grid, ctrl.h)
-    k = table.kappa
-    per_mode = np.sum(np.abs(ctrl.values) ** 2 * k[None, :], axis=0)
-    return float(per_mode[0] + 2 * per_mode[1:].sum())
-
-
-def girsanov_logdensity(ctrl: ControlPath, noise: NoisePath) -> float:
-    """log of the exact likelihood ratio of shifted vs unshifted increments.
-
-    Per step and half mode, with m = mhat * h_hat and Q the step covariance:
-    zero mode contributes m.Q^{-1} eta - m.Q^{-1}m/2, every other mode
-    2 Re(m^H Q^{-1} eta) - m^H Q^{-1} m.  The expectation of its exponential
-    over fresh noise is exactly one.
-    """
-    _check_match(ctrl, noise)
-    table = build_table(ctrl.grid, ctrl.h)
-    eta = noise.increments[: ctrl.n_steps]
-    dW = np.einsum("mc,kmc->km", table.w, eta)
-    pair0 = float(np.sum(ctrl.values[:, 0].real * dW[:, 0].real))
-    pair_rest = 2.0 * float(np.sum((np.conj(ctrl.values[:, 1:]) * dW[:, 1:]).real))
-    return pair0 + pair_rest - 0.5 * control_sq_norm(ctrl)
-
-
-def _check_match(ctrl: ControlPath, noise: NoisePath) -> None:
-    ctrl.check()
-    noise.check()
-    if ctrl.grid != noise.grid:
-        raise ValueError("control and noise live on different grids")
-    if abs(ctrl.h - noise.h) > 1e-12 * max(ctrl.h, noise.h):
-        raise ValueError("control and noise step sizes differ")
-    if noise.n_steps < ctrl.n_steps:
-        raise ValueError("noise path shorter than the control")

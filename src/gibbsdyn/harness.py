@@ -107,7 +107,7 @@ class ExperimentConfig:
         if self.ensemble_size < 2:
             raise ValueError("ensemble size must be at least 2")
         for name in ("z_threshold", "ess_floor", "rel_tolerance", "ks_pvalue_floor", "target_energy",
-                     "stick_time", "windows"):
+                     "stick_time", "windows", "alpha"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 

@@ -93,14 +93,9 @@ def propagator_columns(S: np.ndarray) -> np.ndarray:
 class PropagatorTable:
     """Precomputed per-mode data for repeated exact steps of size h.
 
-    S and related full-lattice arrays are indexed by flat mode; the noise and
-    control blocks live on the half lattice (zero mode first), since the
-    mirrored modes are determined by Hermitian symmetry.
-
-    mhat is the state shift produced by a unit constant control on the
-    velocity channel over one step, mhat = sqrt(2) A^{-1}(S(h)-I) e_2;
-    w = Q_h^{-1} mhat is the matched read-out for likelihood ratios and
-    kappa = mhat . w the per-step quadratic weight.
+    S is indexed by flat mode; the noise blocks live on the half lattice
+    (zero mode first), since the mirrored modes are determined by Hermitian
+    symmetry.
     """
 
     grid: GridSpec
@@ -108,9 +103,6 @@ class PropagatorTable:
     S: np.ndarray  # (n_modes, 2, 2)
     Q: np.ndarray  # (n_half, 2, 2)
     chol: np.ndarray  # (n_half, 2, 2) lower Cholesky of Q
-    mhat: np.ndarray  # (n_half, 2)
-    w: np.ndarray  # (n_half, 2)
-    kappa: np.ndarray  # (n_half,)
 
     @property
     def n_half(self) -> int:
@@ -141,12 +133,9 @@ def build_table(grid: GridSpec, h: float) -> PropagatorTable:
     half = half_lattice(grid)
     Q = step_covariance(grid, h)[half]
     chol = np.linalg.cholesky(Q)
-    mhat = shift_direction(grid, h)
-    w = np.linalg.solve(Q, mhat[..., None])[..., 0]
-    kappa = np.einsum("mi,mi->m", mhat, w)
-    for arr in (S, Q, chol, mhat, w, kappa):
+    for arr in (S, Q, chol):
         arr.flags.writeable = False
-    return PropagatorTable(grid, float(h), S, Q, chol, mhat, w, kappa)
+    return PropagatorTable(grid, float(h), S, Q, chol)
 
 
 # ---------------------------------------------------------------------------

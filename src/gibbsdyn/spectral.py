@@ -204,30 +204,15 @@ def _embed(coeffs: np.ndarray, blocks: tuple, m: int, d: int) -> np.ndarray:
     return emb
 
 
-def _over_last(transform, a: np.ndarray, d: int) -> np.ndarray:
-    """np.fft.fftn/ifftn over the last d axes without their argument handling:
-    the same 1-D `transform` calls, last axis first."""
-    for axis in range(-1, -d - 1, -1):
-        a = transform(a, axis=axis)
-    return a
-
-
 def coeffs_to_grid(grid: GridSpec, coeffs: np.ndarray, m: int | None = None) -> np.ndarray:
     """Evaluate coefficient arrays (leading batch dims allowed) on an m^d grid."""
     m = grid.M if m is None else int(m)
-    emb = _embed(coeffs, _embedding(grid.K, m, grid.d), m, grid.d)
-    vals = _over_last(np.fft.ifft, emb, grid.d) * float(m) ** grid.d
-    return vals.real
-
-
-def grid_to_coeffs(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of real grid samples, restricted to the mode cube."""
-    m = values.shape[-1]
-    c = _over_last(np.fft.fft, values, grid.d) / float(m) ** grid.d
-    out = np.empty(values.shape[: values.ndim - grid.d] + grid.mode_shape, dtype=complex)
-    for g, cs in _embedding(grid.K, m, grid.d):
-        out[cs] = c[g]
-    return out
+    vals = _embed(coeffs, _embedding(grid.K, m, grid.d), m, grid.d)
+    # np.fft.ifftn over the last d axes without its argument handling: the
+    # same 1-D calls, last axis first
+    for axis in range(-1, -grid.d - 1, -1):
+        vals = np.fft.ifft(vals, axis=axis)
+    return (vals * float(m) ** grid.d).real
 
 
 # ---------------------------------------------------------------------------

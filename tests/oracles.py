@@ -31,17 +31,26 @@ last section holds helpers only tests use: a Hermitian scatter from the half
 lattice, one base-measure draw, the interaction of one field and the exact
 aggregation of recorded noise.
 
+The Cameron--Martin toolkit at the end has no caller in the library: the
+exact Girsanov shift of recorded noise by a control, the control's squared
+Cameron--Martin norm and the exact log likelihood ratio of the shifted
+increments, built on the one-step shift `linear_dynamics.shift_direction`
+that the `control` subcommand's forward map also uses.
+
 States are flat arrays (2, n_modes), as in the library.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from gibbsdyn import flow, linear_dynamics, spectral
+from gibbsdyn.control import ControlPath
 from gibbsdyn.flow import EnergyReport, FlowConfig, Stepper, Trajectory, default_thin, energy_states
 from gibbsdyn.gibbs import GibbsConfig, WeightedEnsemble, interaction_states, sample_mu_states
-from gibbsdyn.linear_dynamics import NoisePath, PropagatorTable, propagator
+from gibbsdyn.linear_dynamics import NoisePath, PropagatorTable, build_table, propagator, shift_direction
 from gibbsdyn.spectral import (
     TWO_PI,
     GridSpec,
@@ -587,3 +596,69 @@ def combine_noise(path: NoisePath, factor: int) -> NoisePath:
     blocks = path.increments.reshape(path.n_steps // factor, factor, half.size, 2)
     out = np.einsum("jmab,kjmb->kma", powers, blocks)
     return NoisePath(path.grid, factor * path.h, out, path.seed)
+
+
+# ---------------------------------------------------------------------------
+# Cameron--Martin shifts and the likelihood ratio
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def shift_readout(grid: GridSpec, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per half mode: mhat, the state shift of a unit constant control on the
+    velocity channel over one step, mhat = sqrt(2) A^{-1}(S(h)-I) e_2;
+    w = Q_h^{-1} mhat, the matched read-out for likelihood ratios; and
+    kappa = mhat . w, the per-step quadratic weight."""
+    mhat = shift_direction(grid, h)
+    w = np.linalg.solve(build_table(grid, h).Q, mhat[..., None])[..., 0]
+    kappa = np.einsum("mi,mi->m", mhat, w)
+    for arr in (mhat, w, kappa):
+        arr.flags.writeable = False
+    return mhat, w, kappa
+
+
+def shift_noise(noise: NoisePath, ctrl: ControlPath) -> NoisePath:
+    """Add the control's per-step increment shifts mhat * h_hat to the noise.
+    Because the shifts are the exact one-step images, the shifted noise moves
+    the linear trajectory by exactly `control.forward_map(ctrl)`."""
+    _check_match(ctrl, noise)
+    mhat = shift_readout(ctrl.grid, ctrl.h)[0]
+    shifted = noise.increments.copy()
+    shifted[: ctrl.n_steps] += ctrl.values[..., None] * mhat[None, :, :]
+    return NoisePath(noise.grid, noise.h, shifted, noise.seed)
+
+
+def control_sq_norm(ctrl: ControlPath) -> float:
+    """Squared Cameron--Martin norm: the exact quadrature sum of kappa-weighted
+    squared control values over all modes (mirrored modes counted)."""
+    kappa = shift_readout(ctrl.grid, ctrl.h)[2]
+    per_mode = np.sum(np.abs(ctrl.values) ** 2 * kappa[None, :], axis=0)
+    return float(per_mode[0] + 2 * per_mode[1:].sum())
+
+
+def girsanov_logdensity(ctrl: ControlPath, noise: NoisePath) -> float:
+    """log of the exact likelihood ratio of shifted vs unshifted increments.
+
+    Per step and half mode, with m = mhat * h_hat and Q the step covariance:
+    zero mode contributes m.Q^{-1} eta - m.Q^{-1}m/2, every other mode
+    2 Re(m^H Q^{-1} eta) - m^H Q^{-1} m.  The expectation of its exponential
+    over fresh noise is exactly one.
+    """
+    _check_match(ctrl, noise)
+    w = shift_readout(ctrl.grid, ctrl.h)[1]
+    eta = noise.increments[: ctrl.n_steps]
+    dW = np.einsum("mc,kmc->km", w, eta)
+    pair0 = float(np.sum(ctrl.values[:, 0].real * dW[:, 0].real))
+    pair_rest = 2.0 * float(np.sum((np.conj(ctrl.values[:, 1:]) * dW[:, 1:]).real))
+    return pair0 + pair_rest - 0.5 * control_sq_norm(ctrl)
+
+
+def _check_match(ctrl: ControlPath, noise: NoisePath) -> None:
+    ctrl.check()
+    noise.check()
+    if ctrl.grid != noise.grid:
+        raise ValueError("control and noise live on different grids")
+    if abs(ctrl.h - noise.h) > 1e-12 * max(ctrl.h, noise.h):
+        raise ValueError("control and noise step sizes differ")
+    if noise.n_steps < ctrl.n_steps:
+        raise ValueError("noise path shorter than the control")

@@ -12,14 +12,7 @@ import numpy as np
 import pytest
 
 from gibbsdyn import rng
-from gibbsdyn.control import (
-    ControlPath,
-    control_sq_norm,
-    forward_map,
-    girsanov_logdensity,
-    gram_form,
-    right_inverse,
-)
+from gibbsdyn.control import ControlPath, forward_map, gram_form, right_inverse
 from gibbsdyn.flow import FlowConfig, evolve
 from gibbsdyn.gibbs import GibbsConfig, sample_mu_states
 from gibbsdyn.harness import ExperimentConfig, report_to_json, run_experiment
@@ -39,7 +32,7 @@ from gibbsdyn.spectral import (
     omega2,
     sobolev_pair_norm,
 )
-from oracles import combine_noise, picard_solve
+from oracles import combine_noise, control_sq_norm, girsanov_logdensity, picard_solve
 
 from dataclasses import replace
 

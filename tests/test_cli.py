@@ -130,6 +130,12 @@ def test_value_kinds_follow_the_defaults():
         ("ergodicity", "--set", "flow.T=20.0", "--set", "experiment.burn_in=100.0"),
         ("ergodicity", "--set", "flow.T=20.0", "--set", "experiment.burn_in=10.0"),
         ("ergodicity", "--set", "flow.T=20.0", "--set", "experiment.burn_in=-1.0"),
+        ("coupling", "--set", "experiment.alpha=0.0", "--set", "flow.T=1.0"),
+        ("nstability", "--set", "experiment.alpha=-0.4"),
+        ("sample", "--set", "sample.burn_in=5"),
+        ("sample", "--set", "sample.measure=mu", "--set", "sample.burn_in=5"),
+        ("sample", "--set", "sample.measure=mu", "--set", "sample.method=bogus"),
+        ("sample", "--set", "sample.measure=mu", "--set", "sample.method=imh"),
     ],
     ids=[
         "control-t-string", "control-steps-float", "sample-burn_in-string", "sample-count-bool",
@@ -139,7 +145,9 @@ def test_value_kinds_follow_the_defaults():
         "decay-zero-time", "decay-no-window", "decay-half-step", "invariance-no-observable",
         "ergodicity-no-observable", "sample-burn_in-negative", "invariance-flow-gamma",
         "ergodicity-flow-gamma", "linear-flow-gamma", "ergodicity-burn_in-late",
-        "ergodicity-burn_in-half", "ergodicity-burn_in-negative",
+        "ergodicity-burn_in-half", "ergodicity-burn_in-negative", "coupling-alpha-zero",
+        "nstability-alpha-negative", "sample-burn_in-reweight", "sample-mu-burn_in",
+        "sample-mu-method-unknown", "sample-mu-method-imh",
     ],
 )
 def test_malformed_values_exit_64(tmp_path, capsys, args):
@@ -513,6 +521,19 @@ def test_sample_rho_reports_ess(tmp_path, capsys):
     assert np.all(ens.log_weights <= 0.0)
     # the report's ESS is the estimator's
     assert doc["stats"]["ess"] == estimate(ens, np.zeros(len(ens)))[2]
+
+
+def test_sample_imh_applies_its_burn_in(tmp_path, capsys):
+    def draw(burn_in):
+        out = tmp_path / str(burn_in)
+        args = ("--set", "sample.method=imh", "--set", f"sample.burn_in={burn_in}")
+        assert run(out, "sample", "--set", "sample.count=16", "--set", "grid.M=10", "--set", "gibbs.N=4", *args) == 0
+        doc = json.loads((out / "sample_report.json").read_text())
+        assert doc["config"]["sample"]["burn_in"] == burn_in
+        return load_ensemble(out / "ensemble_rho.bin").states
+
+    assert not np.array_equal(draw(0), draw(8))
+    capsys.readouterr()
 
 
 def test_sample_rejects_unknown_measure(tmp_path, capsys):

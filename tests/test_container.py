@@ -7,16 +7,7 @@ import numpy as np
 import pytest
 
 from gibbsdyn import container, rng
-from gibbsdyn.container import (
-    load_control,
-    load_ensemble,
-    load_noise,
-    save_control,
-    save_ensemble,
-    save_noise,
-    sniff,
-)
-from gibbsdyn.control import ControlPath
+from gibbsdyn.container import load_ensemble, load_noise, save_ensemble, save_noise
 from gibbsdyn.gibbs import WeightedEnsemble, sample_mu_states
 from gibbsdyn.linear_dynamics import (
     NoisePath,
@@ -44,12 +35,6 @@ def golden_ensemble() -> WeightedEnsemble:
     half[:, 1:, :] += 0.5j
     states = increments_to_states(GRID, half)
     return WeightedEnsemble(GRID, states, np.array([-0.5, -1.0, 0.0]), seed=11)
-
-
-def golden_control() -> ControlPath:
-    vals = np.full((4, NH), 0.25 + 0.125j)
-    vals[:, 0] = 1.5
-    return ControlPath(GRID, 0.5, vals)
 
 
 def test_noise_roundtrip(tmp_path):
@@ -82,28 +67,12 @@ def test_ensemble_roundtrip(tmp_path):
     assert back.seed == 9
 
 
-def test_control_roundtrip(tmp_path):
-    grid = GridSpec(d=1, M=10, s=4.0)
-    gen = rng.stream(20260819, 62)
-    nh = half_lattice(grid).size
-    vals = gen.standard_normal((6, nh)) + 1j * gen.standard_normal((6, nh))
-    vals[:, 0] = vals[:, 0].real
-    ctrl = ControlPath(grid, 0.125, vals)
-    p = tmp_path / "c.bin"
-    save_control(p, ctrl)
-    back = load_control(p)
-    assert back.grid == grid
-    assert back.h == 0.125
-    assert np.array_equal(back.values, vals)
-
-
 def test_byte_layout_is_stable(tmp_path):
     """Golden digests pin the on-disk format; a change here breaks every
     previously written file and must be deliberate."""
     cases = [
         (golden_noise(), save_noise, "af8f88fe70889b29ccf09bc38b7272c7cf4c1f15bf6f1bb76900ee4f642fb296"),
         (golden_ensemble(), save_ensemble, "53b8c954255ae691698260d2d5a3650258d887c9f49ff5cd5e536e6e75d086a3"),
-        (golden_control(), save_control, "9196facc0d3f239b496cbe31313b0f8830a7062bdf8f3d2f3d6337d13b47af46"),
     ]
     for obj, saver, want in cases:
         p = tmp_path / "x.bin"
@@ -111,24 +80,22 @@ def test_byte_layout_is_stable(tmp_path):
         assert hashlib.sha256(p.read_bytes()).hexdigest() == want
 
 
-def test_sniff_kinds(tmp_path):
-    save_noise(tmp_path / "n.bin", golden_noise())
-    save_ensemble(tmp_path / "e.bin", golden_ensemble())
-    save_control(tmp_path / "c.bin", golden_control())
-    assert sniff(tmp_path / "n.bin") == "noise"
-    assert sniff(tmp_path / "e.bin") == "ensemble"
-    assert sniff(tmp_path / "c.bin") == "control"
-
-
 def test_wrong_kind_rejected(tmp_path):
     save_noise(tmp_path / "n.bin", golden_noise())
     with pytest.raises(ValueError, match="ensemble"):
         load_ensemble(tmp_path / "n.bin")
-    with pytest.raises(ValueError, match="control"):
-        load_control(tmp_path / "n.bin")
-    save_control(tmp_path / "c.bin", golden_control())
+    save_ensemble(tmp_path / "e.bin", golden_ensemble())
     with pytest.raises(ValueError, match="noise"):
-        load_noise(tmp_path / "c.bin")
+        load_noise(tmp_path / "e.bin")
+
+
+def test_retired_control_magic_rejected(tmp_path):
+    # GDCP once tagged a control path; no payload kind carries it any more
+    p = tmp_path / "c.bin"
+    p.write_bytes(container._pack_header(b"GDCP", GRID, 0.5, 4, 0) + bytes(8 * 4 * NH * 2))
+    for loader in (load_noise, load_ensemble):
+        with pytest.raises(ValueError, match="not a recognized container"):
+            loader(p)
 
 
 def test_corruption_rejected(tmp_path):

@@ -33,7 +33,6 @@ from gibbsdyn.spectral import (
     coeffs_to_grid,
     cube_mask,
     dealiased_cube_coeffs,
-    grid_to_coeffs,
     half_lattice,
     hermitianize,
     omega2,
@@ -175,8 +174,6 @@ def test_transforms_match_ix_embedding(d, batch):
     coeffs = random_states(grid, batch, 5)[..., 0, :].reshape(batch + grid.mode_shape)
     for m in (None, 2 * grid.K + 1, 4 * grid.K + 3):
         assert np.array_equal(coeffs_to_grid(grid, coeffs, m), oracles.coeffs_to_grid(grid, coeffs, m))
-    values = np.random.default_rng(6).standard_normal(batch + (grid.M,) * d)
-    assert np.array_equal(grid_to_coeffs(grid, values), oracles.grid_to_coeffs(grid, values))
     for band in (None, 0, grid.K):
         assert_close(
             quartic_integral_coeffs(grid, coeffs, band),

@@ -5,6 +5,8 @@ propagator; an Euler--Maruyama integrator written here for the exact
 transition law; dense adaptive quadrature for the covariance integral.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -40,6 +42,7 @@ from oracles import (
     exact_ou_step,
     generator_matrices,
     mode_matrix,
+    shift_readout,
     stick_covariance,
     stick_samples,
 )
@@ -188,16 +191,19 @@ def test_table_shift_readout():
     grid = GridSpec(1, 9, 2.0)
     h = 0.2
     table = build_table(grid, h)
+    # the table holds what the stepper reads; the shift read-outs are the oracle's
+    assert [f.name for f in dataclasses.fields(table)] == ["grid", "h", "S", "Q", "chol"]
+    mhat, w, _ = shift_readout(grid, h)
     half = half_lattice(grid)
     # mhat = sqrt(2) * integral_0^h S(u) e2 du (Simpson oracle)
     u = np.linspace(0.0, h, 257)
     cols = np.stack([propagator(grid, ui)[half][:, :, 1] for ui in u])
     simp = scipy.integrate.simpson(cols, x=u, axis=0)
-    assert np.max(np.abs(table.mhat - np.sqrt(2) * simp)) < 1e-10
+    assert np.max(np.abs(mhat - np.sqrt(2) * simp)) < 1e-10
     # w solves Q w = mhat; kappa = mhat.w ~ h for small h
-    assert np.max(np.abs(np.einsum("mij,mj->mi", table.Q, table.w) - table.mhat)) < 1e-12
-    small = build_table(grid, 1e-4)
-    assert np.max(np.abs(small.kappa / 1e-4 - 1.0)) < 1e-3
+    assert np.max(np.abs(np.einsum("mij,mj->mi", table.Q, w) - mhat)) < 1e-12
+    small_kappa = shift_readout(grid, 1e-4)[2]
+    assert np.max(np.abs(small_kappa / 1e-4 - 1.0)) < 1e-3
 
 
 # ---------------------------------------------------------------------------

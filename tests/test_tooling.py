@@ -1,12 +1,13 @@
 """The repository's tools still find the library: the benchmark's layer
-tracer names and the calls it needs, the quickstart script, and the CLI's
-subcommand tables."""
+tracer names and the calls it needs, the quickstart script, the CLI's
+subcommand tables, and the CI workflow's command and numpy floor."""
 
 import importlib
 import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +113,19 @@ def test_subcommand_tables_agree():
     assert set(harness.EXPERIMENTS) == set(cli.SMOKE)
     experiments = {name for name, (_, command) in cli.COMMANDS.items() if command is cli._cmd_experiment}
     assert experiments == set(harness.EXPERIMENTS)
+
+
+def test_workflow_runs_tier1_at_the_numpy_floor():
+    # the workflow cannot run offline, so it is checked as text (PyYAML may be
+    # missing): ROADMAP's tier-1 command verbatim, at pyproject's numpy floor
+    # and at the latest numpy
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
+    assert tier1, "ROADMAP.md states no tier-1 command"
+    assert f"run: {tier1.group(1)}\n" in workflow
+    floor = re.search(r'"numpy>=([0-9.]+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor, "pyproject.toml states no numpy floor"
+    matrix = re.search(r"^\s*numpy: \[(.*)\]$", workflow, re.MULTILINE)
+    assert matrix, "the workflow has no numpy matrix"
+    entries = [e.strip() for e in matrix.group(1).split(",")]
+    assert entries == [f'"numpy=={floor.group(1)}.*"', '"numpy"']
