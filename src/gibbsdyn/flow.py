@@ -37,18 +37,19 @@ from .spectral import (
     TWO_PI,
     CubePlan,
     GridSpec,
-    abs2_modes,
     dealiased_cube_coeffs,
+    frac_modes,
     holder_norm,
     quartic_integral_coeffs,
 )
 
 ENERGY_CEILING = 1e12
 # evolve_ensemble's working set: a row chunk's states take at most BATCH_ITEMS
-# complex entries and its draw block at most DRAW_ITEMS, within these caps
+# complex entries and its draw block at most DRAW_ITEMS (6 MiB), within these
+# caps; a smaller draw budget costs more per-row draw calls per step
 MAX_ROW_CHUNK = 1024
 MAX_TIME_BLOCK = 128
-DRAW_ITEMS = 32 * BATCH_ITEMS
+DRAW_ITEMS = 6 * BATCH_ITEMS
 
 
 @dataclass(frozen=True)
@@ -218,12 +219,14 @@ def energy_states(grid: GridSpec, states: np.ndarray) -> np.ndarray:
     vol = TWO_PI**grid.d
     u = states[..., 0, :]
     p = states[..., 1, :]
-    frac = abs2_modes(grid).reshape(-1) ** (grid.s / 2)
+    u2 = np.abs(u) ** 2
+    # np.sum's reduction without its wrapper
+    add = np.add.reduce
     quad = (
-        0.5 * np.sum(np.abs(p) ** 2, axis=-1)
-        + 0.5 * np.sum(np.abs(u) ** 2, axis=-1)
-        + 0.5 * np.sum(frac * np.abs(u) ** 2, axis=-1)
-        + 0.125 * np.sum(np.abs(u + p) ** 2, axis=-1)
+        0.5 * add(np.abs(p) ** 2, axis=-1)
+        + 0.5 * add(u2, axis=-1)
+        + 0.5 * add(frac_modes(grid) * u2, axis=-1)
+        + 0.125 * add(np.abs(u + p) ** 2, axis=-1)
     )
     quart = quartic_integral_coeffs(
         grid, u.reshape(states.shape[:-2] + grid.mode_shape)
@@ -408,12 +411,14 @@ def evolve_ensemble(
                 series[name][idx : idx + n, lo:hi] = fn(grid, flat).reshape(n, hi - lo)
 
         def blocks():
+            # one buffer serves every block of the chunk: the stepper is done
+            # with a block before it asks for the next
+            step_items = (hi - lo) * 2 * table.n_half * 2
+            buf = np.empty(min(block_steps, n_steps) * step_items, dtype=complex)
             for k in range(0, n_steps, block_steps):
                 nb = min(block_steps, n_steps - k)
-                draws = np.empty((hi - lo, 2 * nb, table.n_half, 2), dtype=complex)
-                for r, gen in enumerate(gens):
-                    draw_increments(table, gen, 2 * nb, draws[r])
-                yield draws
+                draws = buf[: nb * step_items].reshape(hi - lo, 2 * nb, table.n_half, 2)
+                yield draw_increments(table, gens, 2 * nb, draws)
 
         layers = initial_states[None, lo:hi]
         observe(0, layers)

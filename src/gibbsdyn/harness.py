@@ -50,6 +50,7 @@ from .linear_dynamics import (
 )
 from .observables import resolve, resolve_battery
 from .spectral import (
+    BATCH_ITEMS,
     GridSpec,
     abs2_modes,
     cube_mask,
@@ -234,17 +235,42 @@ def _member_streams(cfg: ExperimentConfig, group: int, count: int) -> list:
 
 
 class BlowupError(RuntimeError):
-    """A run blew up, or an ensemble member or an observable went non-finite."""
+    """A run blew up, an ensemble member broke down, or an observable went
+    non-finite."""
 
 
-def _require_finite(finals: np.ndarray, series: dict[str, np.ndarray]) -> None:
-    """Raise on non-finite values in evolve_ensemble's output: a blown-up
-    member is a numerical failure, not a statistic to gate on."""
-    blown = ~np.isfinite(finals).reshape(finals.shape[0], -1).all(axis=1)
+def _require_finite(
+    grid: GridSpec,
+    finals: np.ndarray,
+    series: dict[str, np.ndarray],
+    log_weights: np.ndarray | None = None,
+) -> None:
+    """Raise on a breakdown in evolve_ensemble's output: a member that ended
+    non-finite or with an energy above ENERGY_CEILING (the rule `evolve`
+    applies to a single run), or a non-finite observable.  A blown-up member
+    is a numerical failure, not a statistic to gate on, however small its
+    weight.  With log_weights, the error gives the blown-up members' share of
+    the normalised weight."""
+    count = finals.shape[0]
+    energies = np.empty(count)
+    # in row chunks of the batch budget, so the check adds no ensemble-sized
+    # temporaries; a non-finite or overflowing member's energy is NaN or inf
+    rows = max(1, BATCH_ITEMS // (2 * grid.n_modes))
+    with np.errstate(all="ignore"):
+        for lo in range(0, count, rows):
+            energies[lo : lo + rows] = energy_states(grid, finals[lo : lo + rows])
+    blown = ~(energies <= ENERGY_CEILING)
     names = [name for name, values in series.items() if not np.isfinite(values).all()]
     if blown.any() or names:
+        nonfinite = int(np.count_nonzero(~np.isfinite(finals).reshape(count, -1).all(axis=1)))
+        share = ""
+        if log_weights is not None:
+            w = np.exp(log_weights - log_weights.max())
+            share = f", with {w[blown].sum() / w.sum():.3g} of the normalised weight"
+        n = int(np.count_nonzero(blown))
         raise BlowupError(
-            f"{int(blown.sum())} of {finals.shape[0]} ensemble members ended non-finite; "
+            f"{n} of {count} ensemble members broke down ({nonfinite} ended non-finite, "
+            f"{n - nonfinite} above energy {ENERGY_CEILING:g}){share}; "
             f"non-finite observables: {', '.join(names) or 'none'}"
         )
 
@@ -312,7 +338,7 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         sample_every=flow.n_steps,
         threads=cfg.threads,
     )
-    _require_finite(finals, series)
+    _require_finite(grid, finals, series, log_weights)
 
     gates: list[Gate] = []
     stats: dict = {"observables": {}}
@@ -402,7 +428,7 @@ def ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         battery,
         threads=cfg.threads,
     )
-    _require_finite(finals, series)
+    _require_finite(grid, finals, series)
     keep = times > burn
     keep_late = times > 2 * burn if burn > 0 else keep
 
@@ -499,7 +525,7 @@ def linear_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         sample_every=flow.n_steps,
         threads=cfg.threads,
     )
-    _require_finite(finals, series)
+    _require_finite(grid, finals, series)
     mu_draws = sample_mu_states(grid, rng.stream(cfg.master_seed, 8), count)
     scale = cfg.mu_scale
     idx0 = flat_index(grid, (0,) * grid.d)

@@ -145,28 +145,36 @@ def build_table(grid: GridSpec, h: float) -> PropagatorTable:
 
 def draw_increments(
     table: PropagatorTable,
-    gen: np.random.Generator,
+    gen: np.random.Generator | list[np.random.Generator],
     n_steps: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sample n_steps exact transition increments from one generator.
+    """Sample n_steps exact transition increments from one generator, or from
+    each of a list of generators.
 
-    Returns a complex array of shape (n_steps, n_half, 2), written into `out`
-    when one is given; `out` must be C-contiguous complex of exactly that
-    shape, since the normals are drawn straight into its memory.  Consumes a
-    fixed (n_steps, n_half, 2, 2) block of standard normals in C order, so the
-    sampled values depend only on the generator's stream position, never on
-    how many steps are requested per call.
+    Returns a complex array of shape (n_steps, n_half, 2) for one generator,
+    and (rows, n_steps, n_half, 2) for a list of `rows` generators, row r
+    drawn from gen[r].  It is written into `out` when one is given; `out`
+    must be C-contiguous complex of exactly that shape, since the normals are
+    drawn straight into its memory.  Each generator fills its own
+    (n_steps, n_half, 2, 2) block of standard normals in C order, so the
+    sampled values depend only on that generator's stream position, never on
+    how many steps or rows are requested per call.  The transform that
+    follows is elementwise, so it runs once over all rows.
     """
-    shape = (n_steps, table.n_half, 2)
+    single = isinstance(gen, np.random.Generator)
+    gens = [gen] if single else gen
+    shape = (n_steps, table.n_half, 2) if single else (len(gens), n_steps, table.n_half, 2)
     if out is None:
         out = np.empty(shape, dtype=complex)
     elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
-    g = out.view(float).reshape(shape + (2,))  # (re, im) of each component
-    gen.standard_normal(out=g)
-    g[:, 1:] *= INV_SQRT2
-    g[:, 0, :, 1] = 0.0  # zero mode: real, full variance
+    # (re, im) of each component, one leading row per generator
+    g = out.view(float).reshape((len(gens), n_steps, table.n_half, 2, 2))
+    for row_gen, row in zip(gens, g):
+        row_gen.standard_normal(out=row)
+    g[..., 1:, :, :] *= INV_SQRT2
+    g[..., 0, :, 1] = 0.0  # zero mode: real, full variance
     # z <- chol[m] @ z in place; chol is lower triangular, so component 1
     # is updated while component 0 still holds its normal
     L = table.chol

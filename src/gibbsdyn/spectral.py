@@ -112,7 +112,9 @@ def _lattice(grid: GridSpec):
 
     return {
         "abs2": abs2,
+        "frac": abs2.reshape(-1) ** (grid.s / 2),
         "modes": modes,
+        "inf_norm": np.abs(modes).max(axis=1),
         "half": half,
         "mirror_of_half": mirror[half],
         "mirror": mirror,
@@ -140,9 +142,15 @@ def abs2_modes(grid: GridSpec) -> np.ndarray:
     return _lattice(grid)["abs2"]
 
 
+def frac_modes(grid: GridSpec) -> np.ndarray:
+    """Per-mode symbol |n|^s of (-Laplacian)^(s/2), flat layout; cached, so
+    callers must not write to it."""
+    return _lattice(grid)["frac"]
+
+
 def omega2(grid: GridSpec) -> np.ndarray:
     """Per-mode stiffness 1 + |n|^s."""
-    return 1.0 + abs2_modes(grid) ** (grid.s / 2.0)
+    return 1.0 + frac_modes(grid).reshape(grid.mode_shape)
 
 
 def bracket2(grid: GridSpec) -> np.ndarray:
@@ -428,11 +436,8 @@ def holder_norm(grid: GridSpec, states: np.ndarray, beta: float) -> np.ndarray:
 
 def occupied_band(grid: GridSpec, coeffs: np.ndarray) -> int:
     """Largest max_j |n_j| carrying a nonzero coefficient (over any batch)."""
-    flat = np.abs(coeffs.reshape((-1, grid.n_modes))).max(axis=0)
-    nz = flat > 0.0
-    if not nz.any():
-        return 0
-    return int(np.abs(mode_tuples(grid)[nz]).max())
+    nz = np.maximum.reduce(np.abs(coeffs.reshape((-1, grid.n_modes))), axis=0) > 0.0
+    return int(np.maximum.reduce(_lattice(grid)["inf_norm"], where=nz, initial=0))
 
 
 def quartic_integral_coeffs(grid: GridSpec, coeffs: np.ndarray, band: int | None = None) -> np.ndarray:
@@ -447,4 +452,6 @@ def quartic_integral_coeffs(grid: GridSpec, coeffs: np.ndarray, band: int | None
     vals = coeffs_to_grid(grid, coeffs, m)
     axes = tuple(range(vals.ndim - grid.d, vals.ndim))
     vals *= vals
-    return np.mean(vals * vals, axis=axes) * TWO_PI**grid.d
+    vals *= vals
+    # np.mean's sum and division by the point count, without its wrapper
+    return np.add.reduce(vals, axis=axes) / m**grid.d * TWO_PI**grid.d

@@ -11,7 +11,9 @@ chunk and block sizes through the caps `flow.MAX_ROW_CHUNK` and
 `flow.MAX_TIME_BLOCK`.
 """
 
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -293,13 +295,15 @@ def wide_run(shape, **kw):
 
 
 def record_draw_blocks(monkeypatch) -> list:
-    """Collect the block shape of every row draw evolve_ensemble makes."""
+    """Collect the block shape of every draw call evolve_ensemble makes; each
+    call draws one whole block for every row of its chunk."""
     shapes = []
     real = flow.draw_increments
 
-    def draw(table, gen, n_steps, out=None):
-        shapes.append(out.base.shape)
-        return real(table, gen, n_steps, out)
+    def draw(table, gens, n_steps, out=None):
+        assert out.shape == (len(gens), n_steps, table.n_half, 2)
+        shapes.append(out.shape)
+        return real(table, gens, n_steps, out)
 
     monkeypatch.setattr(flow, "draw_increments", draw)
     return shapes
@@ -313,7 +317,8 @@ def test_wide_ensembles_stay_within_the_budget(shape, threads, monkeypatch):
         shapes = record_draw_blocks(m)
         got = wide_run(shape, threads=threads)
     rows = max(s[0] for s in shapes)
-    assert rows < count < len(shapes)  # several chunks, several blocks each
+    chunks = -(-count // rows)
+    assert 1 < chunks < len(shapes)  # several chunks, several blocks each
     assert rows * 2 * cfg.grid.n_modes <= spectral.BATCH_ITEMS
     assert max(np.prod(s) for s in shapes) <= flow.DRAW_ITEMS
     # the derived chunking gives the values of the fixed one: with budgets
@@ -327,6 +332,33 @@ def test_wide_ensembles_stay_within_the_budget(shape, threads, monkeypatch):
     assert np.array_equal(got[2], want[2])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_wide_working_set_does_not_grow_with_the_horizon(threads):
+    # traced numpy allocations of the M=66 run at two horizons: the finals,
+    # then per worker thread one chunk's states and one draw block
+    cfg, count = WIDE["invariance-M66"]
+    init = sample_mu_states(cfg.grid, rng.stream(8, 0), count)
+    battery = resolve_battery(("l2_u", "quartic"), cfg.grid)
+    peaks = []
+    for T in (0.32, 1.28):
+        gens = [rng.stream(8, 1, i) for i in range(count)]
+        tracemalloc.start()
+        try:
+            evolve_ensemble(replace(cfg, T=T), init, gens, battery, sample_every=8, threads=threads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    complex_bytes = np.dtype(complex).itemsize
+    finals = init.nbytes
+    # a chunk's two state buffers, its scatter, held samples, kick scratch and
+    # observable temporaries; the draw block and its transform's temporary
+    state = 8 * spectral.BATCH_ITEMS * complex_bytes
+    draws = 1.5 * flow.DRAW_ITEMS * complex_bytes
+    slack = 2 << 20
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+    assert max(peaks) <= finals + threads * (state + draws) + slack, peaks
+
+
 def test_narrow_grids_keep_full_row_chunks(monkeypatch):
     # criterion 12's 2560 members at M=18 are three row chunks (1024, 1024,
     # 512), so its thread-count check runs the pool on unequal chunks
@@ -335,7 +367,7 @@ def test_narrow_grids_keep_full_row_chunks(monkeypatch):
     init = np.zeros((2560, 2, grid.n_modes), dtype=complex)
     shapes = record_draw_blocks(monkeypatch)
     evolve_ensemble(cfg, init, [rng.stream(9, 1, i) for i in range(2560)], threads=2)
-    assert Counter(s[0] for s in shapes) == {1024: 2048, 512: 512}
+    assert Counter(s[0] for s in shapes) == {1024: 2, 512: 1}
 
 
 @pytest.mark.parametrize("threads", [1, 2])

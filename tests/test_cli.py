@@ -460,6 +460,28 @@ def test_ensemble_blowup_exits_70(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # one member of 8192 ends at energy 4e115 while staying finite; with
+        # a normalised weight of 1.65e-9 it still carries every weighted mean,
+        # so each z reads 0.99993 and the run passed before the energy check
+        (("flow.h=0.8",), "1 of 8192 ensemble members broke down (0 ended non-finite, 1 above"),
+        # 21 members end non-finite, with a weight share of 7e-23
+        (("flow.h=0.2", "flow.gamma=1.0", "gibbs.gamma=1.0"), "21 of 8192 ensemble members broke down (21"),
+    ],
+)
+def test_ensemble_breakdown_exits_70_whatever_its_weight(tmp_path, capsys, overrides, message):
+    sets = [x for item in (*overrides, "flow.T=4.8", "experiment.ensemble_size=8192") for x in ("--set", item)]
+    rc = run(tmp_path, "invariance", *sets)
+    assert rc == 70
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: " + message) and "of the normalised weight" in err
+    assert not (tmp_path / "invariance_report.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("shared", ["true", "false"])
 def test_nstability_blowup_exits_70(tmp_path, capsys, shared):
     # with shared noise the largest cutoff runs first and the others replay

@@ -150,6 +150,26 @@ def test_draw_increments_split_calls_continue_the_stream(d, h):
     assert np.array_equal(parts.view(float), whole.view(float))
 
 
+@pytest.mark.parametrize("steps", [1, 3, 128])
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_draw_matches_per_row_draws(d, rows, steps):
+    table = build_table(GRIDS[d], 0.05)
+    seeds = range(10, 10 + rows)
+    want = np.stack([oracles.draw_increments(table.chol, np.random.default_rng(s), steps) for s in seeds])
+    got = draw_increments(table, [np.random.default_rng(s) for s in seeds], steps)
+    assert got.shape == (rows, steps, table.n_half, 2)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # two blocks of `steps` continue every row's stream as one block of twice that
+    gens = [np.random.default_rng(s) for s in seeds]
+    out = np.full((rows, steps, table.n_half, 2), 7.0 + 3.0j)
+    first = draw_increments(table, gens, steps, out).copy()
+    second = draw_increments(table, gens, steps, out)
+    assert second is out
+    whole = draw_increments(table, [np.random.default_rng(s) for s in seeds], 2 * steps)
+    assert np.array_equal(np.concatenate([first, second], axis=1).view(np.uint64), whole.view(np.uint64))
+
+
 def test_draw_increments_rejects_unusable_out():
     # a strided view would be copied by the float reshape, losing the draws
     table = build_table(GRIDS[1], 0.05)
@@ -165,6 +185,12 @@ def test_draw_increments_rejects_unusable_out():
     for out in bad:
         with pytest.raises(ValueError, match="C-contiguous complex"):
             draw_increments(table, np.random.default_rng(4), 9, out)
+    # a list of generators draws one row each
+    gens = [np.random.default_rng(s) for s in range(3)]
+    for out in (np.empty((9, nh, 2), dtype=complex), np.empty((2, 9, nh, 2), dtype=complex),
+                np.empty((3, 9, nh, 4), dtype=complex)[..., ::2]):
+        with pytest.raises(ValueError, match="C-contiguous complex"):
+            draw_increments(table, gens, 9, out)
 
 
 @pytest.mark.parametrize("batch", BATCHES, ids=str)

@@ -129,3 +129,16 @@ def test_workflow_runs_tier1_at_the_numpy_floor():
     assert matrix, "the workflow has no numpy matrix"
     entries = [e.strip() for e in matrix.group(1).split(",")]
     assert entries == [f'"numpy=={floor.group(1)}.*"', '"numpy"']
+
+
+def test_workflow_runs_a_traced_call_of_every_workload():
+    # only a traced benchmark run checks that every layer is still called
+    # (tier-1 checks the names), so the workflow runs one for each workload
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    loop = re.search(
+        r"for w in ([a-z_ ]+); do\n\s*last=\$\(python perfbench/run.py --workload \"\$w\" --seconds 1 --trace 1 ",
+        workflow,
+    )
+    assert loop, "the workflow runs no traced benchmark loop"
+    assert set(loop.group(1).split()) == _layertrace().ALL
+    assert "'{\"correct\": true'*) ;;" in workflow
