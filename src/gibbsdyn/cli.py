@@ -42,6 +42,7 @@ from .harness import (
     report_to_json,
     run_experiment,
 )
+from .linear_dynamics import NoisePath, build_table, draw_increments
 from .spectral import GridSpec, hermitianize, holder_norm, mode_tuples
 
 
@@ -414,6 +415,8 @@ def _cmd_simulate(name: str, cfg: dict, out: Path) -> ExperimentReport:
         u0 = sample_mu_states(grid, rng.stream(cfg["seed"], 100), 1)[0]
     else:
         raise ConfigError(f"unknown initial {initial!r} (expected 'zero' or 'mu')")
+    if section["dump_noise"] and not flow.record_noise:
+        raise ConfigError("dump_noise requires flow.record_noise")
 
     traj = evolve(u0, flow, rng.stream(cfg["seed"], 101), thin_every=thin)
 
@@ -439,9 +442,11 @@ def _cmd_simulate(name: str, cfg: dict, out: Path) -> ExperimentReport:
         save_ensemble(out / "trajectory_states.bin", dump)
         artifacts["states"] = "trajectory_states.bin"
     if section["dump_noise"]:
-        if traj.noise is None:
-            raise ConfigError("dump_noise requires flow.record_noise")
-        save_noise(out / "trajectory_noise.bin", dataclasses.replace(traj.noise, seed=cfg["seed"]))
+        # a fresh copy of the run's stream draws its increments again, up to
+        # the last step run
+        n_half_steps = 2 * round(traj.times[-1] / flow.h)
+        eta = draw_increments(build_table(grid, flow.h / 2), rng.stream(cfg["seed"], 101), n_half_steps)
+        save_noise(out / "trajectory_noise.bin", NoisePath(grid, flow.h / 2, eta, cfg["seed"]))
         artifacts["noise"] = "trajectory_noise.bin"
 
     last = rows[-1]

@@ -54,7 +54,12 @@ DRAW_ITEMS = 6 * BATCH_ITEMS
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Truncation, interaction strength, and time stepping for one run."""
+    """Truncation, interaction strength, and time stepping for one run.
+
+    record_noise asks `evolve` to co-evolve the linear solution on the same
+    increments and keep the remainder's energies; it keeps no increment, and
+    keeps its name because every report echoes the config.
+    """
 
     grid: GridSpec
     N: int
@@ -99,7 +104,6 @@ class Trajectory:
     grid: GridSpec
     times: np.ndarray
     states: np.ndarray
-    noise: NoisePath | None = None
     linear_states: np.ndarray | None = None
     blowup_time: float | None = None
     energies: np.ndarray | None = None
@@ -255,13 +259,16 @@ def evolve(
     """Run the splitting flow from the flat state state0 (2, n_modes), plus an
     optional remainder of the same shape.
 
-    When cfg.record_noise is set, every half-step increment is recorded and
-    the linear solution from state0 is co-evolved on the identical increments,
-    so state - linear_state realizes the remainder with v(0) =
-    initial_remainder.
-    A noise_path (at half-step spacing) replays recorded increments instead of
-    drawing fresh ones.  Blowup (non-finite coefficients, or an energy that is
-    NaN or beyond 1e12) truncates the trajectory and sets blowup_time.
+    When cfg.record_noise is set, the linear solution from state0 is
+    co-evolved on the identical increments, so state - linear_state realizes
+    the remainder with v(0) = initial_remainder, and the remainder's energy
+    is kept at every sample time.  No increment is kept: the draws depend only
+    on gen's stream position, so a fresh copy of the stream draws the same
+    path again.
+    A noise_path (at half-step spacing, on cfg's grid) replays given
+    increments instead of drawing fresh ones.  Blowup (non-finite
+    coefficients, or an energy that is NaN or beyond 1e12) truncates the
+    trajectory and sets blowup_time.
     """
     grid = cfg.grid
     stepper = Stepper(cfg)
@@ -269,6 +276,8 @@ def evolve(
     n_steps = cfg.n_steps
     if noise_path is not None:
         noise_path.check()
+        if noise_path.grid != grid:
+            raise ValueError(f"replay path drawn on {noise_path.grid}, run on {grid}")
         if abs(noise_path.h - cfg.h / 2) > 1e-12 * cfg.h:
             raise ValueError("replay path spacing must equal h/2")
         if noise_path.n_steps < 2 * n_steps:
@@ -289,9 +298,6 @@ def evolve(
         state += initial_remainder
     record = cfg.record_noise
     linear = np.array(state0, dtype=complex) if record else None
-    increments = (
-        np.empty((2 * n_steps, table.n_half, 2), dtype=complex) if record else None
-    )
 
     times = np.array([0.0] + [k * cfg.h for k in sample_steps(n_steps, thin)])
     # layer 0 holds the states, layer 1 the linear states of a recorded run
@@ -302,21 +308,22 @@ def evolve(
     blowup_time = None
 
     def blocks():
-        # every block ends at a sample step, so a blowup stops the draws
-        # exactly where the trajectory stops
+        # no block crosses a sample step, so a blowup stops the draws exactly
+        # where the trajectory stops; one buffer serves every drawn block, as
+        # the stepper is done with a block before it asks for the next
+        block_steps = min(MAX_TIME_BLOCK, thin, n_steps)
+        buf = np.empty((2 * block_steps, table.n_half, 2), dtype=complex)
         for k in range(0, n_steps, thin):
-            span = slice(2 * k, 2 * min(k + thin, n_steps))
-            if noise_path is not None:
-                eta = noise_path.increments[span]
-                if record:
-                    increments[span] = eta
-            else:
-                # a recording run draws straight into its record
-                out = increments[span] if record else None
-                eta = draw_increments(table, gen, span.stop - span.start, out)
-            yield eta[None]
+            end = min(k + thin, n_steps)
+            for lo in range(k, end, block_steps):
+                hi = min(lo + block_steps, end)
+                if noise_path is not None:
+                    eta = noise_path.increments[2 * lo : 2 * hi]
+                else:
+                    eta = draw_increments(table, gen, 2 * (hi - lo), buf[: 2 * (hi - lo)])
+                yield eta[None]
 
-    i = k = 0
+    i = 0
     for i, (k, layers) in enumerate(stepper.run(layers[:, None], blocks(), thin), 1):
         kept[:, i] = layers[:, 0]
         probe = layers[0] - layers[1] if record else layers[0]
@@ -336,8 +343,6 @@ def evolve(
         grid,
         times[: i + 1],
         kept[0, : i + 1],
-        # the last sample step is the last step run
-        NoisePath(grid, cfg.h / 2, increments[: 2 * k]) if record else None,
         kept[1, : i + 1] if record else None,
         blowup_time,
         np.array(energies) if record else None,

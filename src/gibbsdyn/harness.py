@@ -487,11 +487,12 @@ def linear_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.flow is None:
         raise ValueError("linear mixing requires a flow config")
     grid = cfg.grid
-    flow = replace(_kicked_flow(cfg, 0.0), record_noise=True)
+    flow = _kicked_flow(cfg, 0.0)
 
     pair0 = sample_mu_states(grid, rng.stream(cfg.master_seed, 5), 2)
+    # a fresh copy of stream 6 draws the same increments again
     traj0 = evolve(pair0[0], flow, rng.stream(cfg.master_seed, 6))
-    traj1 = evolve(pair0[1], flow, noise_path=traj0.noise)
+    traj1 = evolve(pair0[1], flow, rng.stream(cfg.master_seed, 6))
 
     got = traj0.states - traj1.states
     diffs = holder_norm(grid, got, cfg.alpha)
@@ -640,16 +641,12 @@ def nstability_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     flow = replace(cfg.flow, grid=grid, record_noise=True)
     v_series: dict[int, np.ndarray] = {}
-    # the largest cutoff runs first: with shared noise the others replay its path
+    # with shared noise every cutoff runs on a fresh copy of one stream, so
+    # all draw the same increments; the largest cutoff runs first
     for n in sorted(n_values, reverse=True):
-        if not cfg.shared_noise:
-            traj = evolve(u0, replace(flow, N=n), rng.stream(cfg.master_seed, 11, n), thin_every=1)
-        elif n == max(n_values):
-            traj = base = evolve(u0, replace(flow, N=n), rng.stream(cfg.master_seed, 11), thin_every=1)
-        else:
-            traj = evolve(u0, replace(flow, N=n), noise_path=base.noise, thin_every=1)
-        # a blown-up run has no remainder to compare, and its recorded noise is
-        # too short to replay at the other cutoffs
+        key = (11,) if cfg.shared_noise else (11, n)
+        traj = evolve(u0, replace(flow, N=n), rng.stream(cfg.master_seed, *key), thin_every=1)
+        # a blown-up run has no remainder to compare
         if traj.blowup_time is not None:
             raise BlowupError(f"nstability run at N={n} blew up at t={traj.blowup_time:g}")
         v_series[n] = traj.v_states()

@@ -28,8 +28,9 @@ convolution sampled one member at a time and its two-time covariance by
 quadrature, a rejection sampler for the quartic measure, and the coupling
 experiment's initial remainder found by a fixed 200 bisection steps.  The
 last section holds helpers only tests use: a Hermitian scatter from the half
-lattice, one base-measure draw, the interaction of one field and the exact
-aggregation of recorded noise.
+lattice, one base-measure draw, the interaction of one field, a run's noise
+path drawn again from a copy of its stream and the exact aggregation of a
+noise path.
 
 The Cameron--Martin toolkit at the end has no caller in the library: the
 exact Girsanov shift of recorded noise by a control, the control's squared
@@ -575,6 +576,16 @@ def interaction(coeffs: np.ndarray, cfg: GibbsConfig) -> float:
     state = np.zeros((2, cfg.grid.n_modes), dtype=complex)
     state[0] = np.asarray(coeffs).reshape(-1)
     return float(interaction_states(state[None], cfg)[0])
+
+
+def redraw_noise(cfg: FlowConfig, gen: np.random.Generator, n_steps: int | None = None) -> NoisePath:
+    """The half-step increments of the first n_steps steps (default all of
+    cfg's) that a run of cfg draws from gen, drawn again: a run draws from
+    its stream in order and keeps no increment, so a fresh copy of the
+    stream gives its path."""
+    steps = cfg.n_steps if n_steps is None else n_steps
+    table = build_table(cfg.grid, cfg.h / 2)
+    return NoisePath(cfg.grid, cfg.h / 2, linear_dynamics.draw_increments(table, gen, 2 * steps))
 
 
 def combine_noise(path: NoisePath, factor: int) -> NoisePath:

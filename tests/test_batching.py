@@ -359,6 +359,33 @@ def test_wide_working_set_does_not_grow_with_the_horizon(threads):
     assert max(peaks) <= finals + threads * (state + draws) + slack, peaks
 
 
+@pytest.mark.parametrize("recorded", [True, False])
+def test_trajectory_working_set_does_not_grow_with_the_horizon(recorded):
+    # traced numpy allocations of one M=18 run, less the trajectory's own
+    # arrays: a recorded run keeps no increment, and a run sampled only at
+    # its end still draws at most MAX_TIME_BLOCK steps at a time
+    grid = GRIDS[1]
+    base = FlowConfig(grid, CUBES[1], 1.0, 0.01, 0.5, record_noise=recorded)
+    evolve(zero_state(grid), base, rng.stream(3, 0))  # tables and FFT caches
+    extra = {}
+    for T in (50.0, 200.0):
+        cfg = replace(base, T=T)
+        tracemalloc.start()
+        try:
+            traj = evolve(zero_state(grid), cfg, rng.stream(3, 0), thin_every=None if recorded else cfg.n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # states and linear_states are views of one array
+        roots = {}
+        for a in (traj.times, traj.states, traj.linear_states, traj.energies):
+            if a is not None:
+                root = a if a.base is None else a.base
+                roots[id(root)] = root.nbytes
+        extra[T] = peak - sum(roots.values())
+    assert max(extra.values()) < 1 << 20, extra
+
+
 def test_narrow_grids_keep_full_row_chunks(monkeypatch):
     # criterion 12's 2560 members at M=18 are three row chunks (1024, 1024,
     # 512), so its thread-count check runs the pool on unequal chunks

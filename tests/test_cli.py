@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gibbsdyn import cli
+from gibbsdyn import cli, rng
 from gibbsdyn.cli import (
     DEFAULTS,
     SMOKE,
@@ -22,10 +22,11 @@ from gibbsdyn.cli import (
     main,
 )
 from gibbsdyn.container import load_ensemble, load_noise
-from gibbsdyn.flow import FlowConfig
+from gibbsdyn.flow import FlowConfig, evolve
 from gibbsdyn.gibbs import GibbsConfig, estimate
 from gibbsdyn.harness import ExperimentConfig, make_gate, make_report
 from gibbsdyn.spectral import GridSpec, omega2
+from oracles import redraw_noise
 
 
 def run(tmp_path, *args):
@@ -611,6 +612,31 @@ def test_simulate_dumps_containers(tmp_path, capsys):
     assert noise.n_steps == 2 * round(0.5 / 0.01)  # half-step spacing
 
 
+@pytest.mark.parametrize(
+    "overrides, code",
+    [(["flow.T=0.5"], 0), (["flow.gamma=5", "flow.h=0.8", "flow.T=80", "simulate.initial=mu"], 2)],
+    ids=["full", "blowup"],
+)
+def test_simulate_dumps_the_path_it_ran(tmp_path, capsys, overrides, code):
+    # the noise container is the run's stream drawn again up to the last step
+    # run, which a blowup cuts short, and replaying it gives the dumped states
+    dumps = ["simulate.dump_states=true", "simulate.dump_noise=true"]
+    rc = run(tmp_path, "simulate", "--seed", "5", *(x for item in overrides + dumps for x in ("--set", item)))
+    assert rc == code
+    capsys.readouterr()
+    cfg = load_config("simulate", None, overrides, 5)
+    flow = FlowConfig(GridSpec(**cfg["grid"]), **cfg["flow"])
+    final_time = json.loads((tmp_path / "simulate_report.json").read_text())["stats"]["final_time"]
+    last = round(final_time / flow.h)
+    assert (last < flow.n_steps) == (code == 2)
+    noise = load_noise(tmp_path / "trajectory_noise.bin")
+    assert (noise.grid, noise.h, noise.seed) == (flow.grid, flow.h / 2, 5)
+    assert np.array_equal(noise.increments, redraw_noise(flow, rng.stream(5, 101), last).increments)
+    if code == 0:
+        replay = evolve(np.zeros((2, flow.grid.n_modes), dtype=complex), flow, noise_path=noise)
+        assert np.array_equal(replay.states, load_ensemble(tmp_path / "trajectory_states.bin").states)
+
+
 def test_simulate_dumps_record_the_seed(tmp_path, capsys):
     rc = run(
         tmp_path, "simulate", "--seed", "77", "--set", "flow.T=0.1",
@@ -629,7 +655,9 @@ def test_simulate_dump_noise_requires_recording(tmp_path, capsys):
         "--set", "flow.record_noise=false", "--set", "simulate.dump_noise=true",
     )
     assert rc == 64
-    capsys.readouterr()
+    assert "dump_noise requires flow.record_noise" in capsys.readouterr().err
+    # the conflict is found before the run, so nothing is written
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize(

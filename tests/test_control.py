@@ -12,7 +12,7 @@ from gibbsdyn.control import ControlPath, NumericalError, forward_map, gram_form
 from gibbsdyn.flow import FlowConfig, evolve
 from gibbsdyn.linear_dynamics import NoisePath, build_table, draw_increments
 from gibbsdyn.spectral import GridSpec, half_lattice, mode_tuples
-from oracles import control_sq_norm, girsanov_logdensity, mode_matrix, shift_noise, shift_readout
+from oracles import control_sq_norm, girsanov_logdensity, mode_matrix, redraw_noise, shift_noise, shift_readout
 
 from conftest import random_state
 
@@ -249,7 +249,8 @@ def test_shift_noise_adds_exact_image_linear_flow():
     u0 = random_state(grid, gen, decay=1.5)
     traj1 = evolve(u0, cfg, rng.stream(20260819, 48))
     ctrl = random_control(grid, cfg.h / 2, 2 * cfg.n_steps, gen, amplitude=0.4)
-    traj2 = evolve(u0, cfg, noise_path=shift_noise(traj1.noise, ctrl))
+    noise = redraw_noise(cfg, rng.stream(20260819, 48))
+    traj2 = evolve(u0, cfg, noise_path=shift_noise(noise, ctrl))
     diff = traj2.states[-1] - traj1.states[-1]
     image = forward_map(ctrl)
     scale = np.max(np.abs(image))
@@ -263,7 +264,8 @@ def test_shift_noise_moves_linear_part_of_nonlinear_flow():
     u0 = random_state(grid, gen, decay=1.5)
     traj1 = evolve(u0, cfg, rng.stream(20260819, 50))
     ctrl = random_control(grid, cfg.h / 2, 2 * cfg.n_steps, gen, amplitude=0.4)
-    traj2 = evolve(u0, cfg, noise_path=shift_noise(traj1.noise, ctrl))
+    noise = redraw_noise(cfg, rng.stream(20260819, 50))
+    traj2 = evolve(u0, cfg, noise_path=shift_noise(noise, ctrl))
     diff = traj2.linear_states[-1] - traj1.linear_states[-1]
     image = forward_map(ctrl)
     scale = np.max(np.abs(image))

@@ -40,6 +40,7 @@ from oracles import (
     energy,
     nonlinear_kick,
     picard_solve,
+    redraw_noise,
     step,
 )
 
@@ -150,12 +151,50 @@ def test_evolve_rejects_nonpositive_thinning(rng, thin):
         evolve(random_state(cfg.grid, rng), cfg, np.random.default_rng(8), thin_every=thin)
 
 
-def test_evolve_replay_reproduces(rng):
-    cfg = make_cfg(record_noise=True, T=0.5)
+@pytest.mark.parametrize(
+    "T, thin, size",
+    [(0.5, 1, 0.0), (15.0, 200, 0.0), (15.0, 200, 3e4), (15.0, None, 3e4)],
+    ids=["every-step", "sub-blocks", "blowup-in-sub-blocks", "blowup"],
+)
+def test_evolve_replay_reproduces(rng, T, thin, size):
+    # a run keeps no increment: replaying its path drawn again from a copy of
+    # its stream gives the same run bit for bit, and the run's generator
+    # stops where that redraw stops, after the last step run (at a blowup, the
+    # sample step that saw it); 200-step samples span sub-blocks of the draw
+    cfg = make_cfg(gamma=1.0, record_noise=True, T=T)
     u0 = random_state(cfg.grid, rng)
-    traj = evolve(u0, cfg, np.random.default_rng(8), thin_every=1)
-    again = evolve(u0, cfg, noise_path=traj.noise, thin_every=1)
-    assert np.array_equal(traj.states[-1], again.states[-1])
+    v0 = zero_state(cfg.grid)
+    v0[0, flat_index(cfg.grid, (0,))] = size
+    gen = rngmod.stream(5, 8)
+    with np.errstate(all="ignore"):
+        traj = evolve(u0, cfg, gen, initial_remainder=v0, thin_every=thin)
+    assert (traj.blowup_time is not None) == (size > 0)
+    copy = rngmod.stream(5, 8)
+    redraw_noise(cfg, copy, round(traj.times[-1] / cfg.h))
+    # equal stream positions give equal next draws
+    assert np.array_equal(gen.random(8), copy.random(8))
+    with np.errstate(all="ignore"):
+        again = evolve(u0, cfg, noise_path=redraw_noise(cfg, rngmod.stream(5, 8)),
+                       initial_remainder=v0, thin_every=thin)
+    for name in ("times", "states", "linear_states", "energies"):
+        assert np.array_equal(getattr(traj, name), getattr(again, name), equal_nan=True), name
+    assert again.blowup_time == traj.blowup_time
+
+
+@pytest.mark.parametrize(
+    "drawn, run",
+    [(GridSpec(1, 18, 2.0), GridSpec(1, 18, 4.0)), (GridSpec(2, 5, 3.0), GridSpec(1, 26, 2.0))],
+    ids=["other-s", "same-n-half"],
+)
+def test_evolve_rejects_a_path_from_another_grid(drawn, run):
+    # either path has the right shape but the wrong covariance; both used to
+    # replay without complaint
+    cfg = FlowConfig(run, -1, 0.0, 0.05, 0.5)
+    path = redraw_noise(FlowConfig(drawn, -1, 0.0, 0.05, 0.5), np.random.default_rng(0))
+    assert path.increments.shape == redraw_noise(cfg, np.random.default_rng(0)).increments.shape
+    with pytest.raises(ValueError) as err:
+        evolve(zero_state(run), cfg, noise_path=path)
+    assert str(drawn) in str(err.value) and str(run) in str(err.value)
 
 
 def test_evolve_rejects_misshapen_initial_data(rng):
@@ -184,11 +223,12 @@ def test_evolve_linear_from_zero_matches_replayed_stick(rng):
     cfg = make_cfg(gamma=0.0, record_noise=True, T=0.4, h=0.05)
     grid = cfg.grid
     traj = evolve(zero_state(grid), cfg, np.random.default_rng(9), thin_every=1)
+    noise = redraw_noise(cfg, np.random.default_rng(9))
     table = build_table(grid, cfg.h / 2)
     state = np.zeros((2, grid.n_modes), dtype=complex)
-    for k in range(traj.noise.n_steps):
+    for k in range(noise.n_steps):
         state = propagate_states(table.S, state) + increments_to_states(
-            grid, traj.noise.increments[k]
+            grid, noise.increments[k]
         )
     assert np.max(np.abs(state - traj.states[-1])) < 1e-13
     # gamma = 0: remainder vanishes identically
@@ -299,11 +339,13 @@ def test_zero_horizon_returns_the_initial_states(rng):
     u0, v0 = random_state(grid, rng), random_state(grid, rng)
     traj = evolve(u0, cfg, np.random.default_rng(1))
     assert np.array_equal(traj.times, [0.0]) and np.array_equal(traj.states, u0[None])
-    rec = evolve(u0, make_cfg(T=0.0, record_noise=True), np.random.default_rng(1), initial_remainder=v0)
+    gen = np.random.default_rng(1)
+    untouched = gen.bit_generator.state
+    rec = evolve(u0, make_cfg(T=0.0, record_noise=True), gen, initial_remainder=v0)
     assert np.array_equal(rec.times, [0.0]) and rec.blowup_time is None
     assert np.array_equal(rec.states, (u0 + v0)[None])
     assert np.array_equal(rec.linear_states, u0[None])
-    assert rec.noise.n_steps == 0
+    assert gen.bit_generator.state == untouched
     assert np.array_equal(rec.energies, [energy_states(grid, (u0 + v0 - u0)[None])[0]])
 
     init = np.stack([random_state(grid, rng) for _ in range(3)])
@@ -437,11 +479,11 @@ def test_continuity_in_initial_data(rng):
     grid = cfg.grid
     u0 = random_state(grid, rng)
     w = random_state(grid, rng)
-    base_traj = evolve(u0, cfg, np.random.default_rng(30), thin_every=1)
-    base_final = base_traj.states[-1]
+    base_final = evolve(u0, cfg, np.random.default_rng(30), thin_every=1).states[-1]
+    noise = redraw_noise(cfg, np.random.default_rng(30))
     diffs = []
     for delta in (1e-1, 1e-2, 1e-3):
-        traj = evolve(u0 + delta * w, cfg, noise_path=base_traj.noise, thin_every=1)
+        traj = evolve(u0 + delta * w, cfg, noise_path=noise, thin_every=1)
         diffs.append(sobolev_pair_norm(grid, traj.states[-1] - base_final, grid.s / 2))
     assert diffs[0] > diffs[1] > diffs[2]
 

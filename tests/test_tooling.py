@@ -1,6 +1,7 @@
 """The repository's tools still find the library: the benchmark's layer
-tracer names and the calls it needs, the quickstart script, the CLI's
-subcommand tables, and the CI workflow's command and numpy floor."""
+tracer names and the calls it needs, the quickstart and report-digest
+scripts, the CLI's subcommand tables, and the CI workflow's command and
+numpy floor."""
 
 import importlib
 import importlib.util
@@ -105,6 +106,31 @@ def test_quickstart_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "trajectory to T=20.0: 201 samples, no blowup: True" in proc.stdout
+
+
+def test_report_digests_repeat(tmp_path):
+    # a report that changed from one run to the next would make every
+    # parent/change comparison through the script fail
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [
+        subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "report_digests.py"), "--only", "simulate", "coupling"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        for _ in range(2)
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = runs[0].stdout.splitlines()
+    assert runs[1].stdout.splitlines() == lines
+    names = [line.split("  ", 1)[1] for line in lines]
+    assert names == [
+        "simulate/simulate_report.json", "simulate/trajectory.csv", "simulate",
+        "coupling/coupling_report.json", "coupling/coupling_series.csv", "coupling",
+    ]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split("  ")[0]) for line in lines if "/" in line)
+    assert lines[2].startswith("exit 0  ") and lines[5].startswith("exit 0  ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_subcommand_tables_agree():
