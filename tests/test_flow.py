@@ -151,12 +151,21 @@ def test_evolve_rejects_nonpositive_thinning(rng, thin):
         evolve(random_state(cfg.grid, rng), cfg, np.random.default_rng(8), thin_every=thin)
 
 
+def test_evolve_replay_reproduces(rng):
+    cfg = make_cfg(record_noise=True, T=0.5)
+    u0 = random_state(cfg.grid, rng)
+    traj = evolve(u0, cfg, np.random.default_rng(8), thin_every=1)
+    path = redraw_noise(cfg, np.random.default_rng(8))
+    again = evolve(u0, cfg, noise_path=path, thin_every=1)
+    assert np.array_equal(traj.states[-1], again.states[-1])
+
+
 @pytest.mark.parametrize(
     "T, thin, size",
     [(0.5, 1, 0.0), (15.0, 200, 0.0), (15.0, 200, 3e4), (15.0, None, 3e4)],
     ids=["every-step", "sub-blocks", "blowup-in-sub-blocks", "blowup"],
 )
-def test_evolve_replay_reproduces(rng, T, thin, size):
+def test_evolve_replay_reproduces_run_and_stream(rng, T, thin, size):
     # a run keeps no increment: replaying its path drawn again from a copy of
     # its stream gives the same run bit for bit, and the run's generator
     # stops where that redraw stops, after the last step run (at a blowup, the
