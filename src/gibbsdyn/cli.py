@@ -415,8 +415,6 @@ def _cmd_simulate(name: str, cfg: dict, out: Path) -> ExperimentReport:
         u0 = sample_mu_states(grid, rng.stream(cfg["seed"], 100), 1)[0]
     else:
         raise ConfigError(f"unknown initial {initial!r} (expected 'zero' or 'mu')")
-    if section["dump_noise"] and not flow.record_noise:
-        raise ConfigError("dump_noise requires flow.record_noise")
 
     traj = evolve(u0, flow, rng.stream(cfg["seed"], 101), thin_every=thin)
 

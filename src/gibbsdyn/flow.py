@@ -19,6 +19,7 @@ cube at all times.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -357,17 +358,24 @@ def evolve(
 def evolve_ensemble(
     cfg: FlowConfig,
     initial_states: np.ndarray,
-    generators: list[np.random.Generator],
+    generators: Sequence[np.random.Generator],
     observables: dict[str, callable] | None = None,
     *,
     sample_every: int | None = None,
     threads: int = 1,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
     """Evolve a batch of trajectories with independent per-row streams.
 
-    initial_states: (B, 2, n_modes) complex.  observables maps names to
-    vectorized functions (grid, states block) -> (rows,) values, evaluated at
-    t = 0 and every sample_every steps (default: the thinning default).
+    initial_states: (B, 2, n_modes) complex.  generators is a sequence of B
+    generators, one per row; only its length and its slices are used, one
+    slice per row chunk, so a sequence that builds a slice's generators when
+    asked lets each chunk build only its own streams.  observables maps names
+    to vectorized functions (grid, states block) -> (rows,) values, evaluated
+    at t = 0 and every sample_every steps (default: the thinning default).
+    The final states are written into out when one is given, and out may be
+    initial_states itself: a chunk reads its initial rows before it writes
+    its final ones.
 
     Rows are stepped in chunks, and each chunk draws its increments a block
     of steps at a time.  Both sizes follow from the batch budget: a chunk's
@@ -376,7 +384,8 @@ def evolve_ensemble(
     memory stays bounded whatever the grid, the ensemble size and the
     horizon.
 
-    Returns (sample_times, {name: (n_samples, B)}, final_states).  Values
+    Returns (sample_times, {name: (n_samples, B)}, final_states), the final
+    states being out when one is given.  Values
     depend only on the generators' streams and the config; row chunking, time
     blocking, and thread count never change results, because each row consumes
     its own fixed-order stream and outputs are assembled by row index.
@@ -395,7 +404,10 @@ def evolve_ensemble(
     series = {
         name: np.empty((len(sample_times), B)) for name in obs
     }
-    finals = np.empty_like(initial_states)
+    if out is None:
+        out = np.empty_like(initial_states)
+    elif out.shape != initial_states.shape:
+        raise ValueError(f"out has shape {out.shape}, expected {initial_states.shape}")
     chunk_rows = min(MAX_ROW_CHUNK, max(1, BATCH_ITEMS // (2 * grid.n_modes)))
     # a block is (rows, 2 * steps, n_half, 2) complex
     per_step = max(1, min(chunk_rows, B)) * 4 * table.n_half
@@ -433,7 +445,7 @@ def evolve_ensemble(
             held[j] = layers[0]
             if j == per_call - 1 or k == n_steps:
                 observe(i - j + 1, held[: j + 1])
-        finals[lo:hi] = layers[0]
+        out[lo:hi] = layers[0]
 
     chunks = [(lo, min(lo + chunk_rows, B)) for lo in range(0, B, chunk_rows)]
     if threads > 1 and len(chunks) > 1:
@@ -444,7 +456,7 @@ def evolve_ensemble(
     else:
         for lo, hi in chunks:
             run_chunk(lo, hi)
-    return sample_times, series, finals
+    return sample_times, series, out
 
 
 # ---------------------------------------------------------------------------

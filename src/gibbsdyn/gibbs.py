@@ -26,6 +26,7 @@ from .spectral import (
     half_lattice,
     omega2,
     quartic_integral_coeffs,
+    state_batch_rows,
 )
 from .linear_dynamics import increments_to_states
 
@@ -54,16 +55,22 @@ def sample_mu_states(grid: GridSpec, gen: np.random.Generator, count: int) -> np
     """Draw count base-measure samples as flat states (count, 2, n_modes).
 
     Consumes a fixed (count, n_half, 2, 2) block of standard normals so the
-    values depend only on the generator's position, not on batching.
+    values depend only on the generator's position, not on batching.  The
+    block is drawn and scattered `state_batch_rows` rows at a time; normals
+    fill in C order, so the chunks draw the block's values.
     """
     half = half_lattice(grid)
     nh = half.size
-    g = gen.standard_normal((count, nh, 2, 2))
-    z = (g[..., 0] + 1j * g[..., 1]) * (1.0 / np.sqrt(2.0))
-    z[:, 0, :] = g[:, 0, :, 0]
     w = np.sqrt(omega2(grid).reshape(-1)[half])
-    z[..., 0] /= w
-    return increments_to_states(grid, z)
+    out = np.empty((count, 2, grid.n_modes), dtype=complex)
+    rows = state_batch_rows(grid)
+    for lo in range(0, count, rows):
+        g = gen.standard_normal((min(rows, count - lo), nh, 2, 2))
+        z = (g[..., 0] + 1j * g[..., 1]) * (1.0 / np.sqrt(2.0))
+        z[:, 0, :] = g[:, 0, :, 0]
+        z[..., 0] /= w
+        increments_to_states(grid, z, out[lo : lo + rows])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +79,22 @@ def sample_mu_states(grid: GridSpec, gen: np.random.Generator, count: int) -> np
 
 
 def interaction_states(states: np.ndarray, cfg: GibbsConfig) -> np.ndarray:
-    """Batched interaction values (gamma/4) * mean over the torus of (P_N u)^4."""
+    """Batched interaction values (gamma/4) * mean over the torus of (P_N u)^4.
+
+    The states are evaluated `state_batch_rows` at a time; each value depends
+    on its own state only.
+    """
     if cfg.gamma == 0.0 or cfg.N < 0:
         return np.zeros(states.shape[:-2])
     grid = cfg.grid
     mask = cube_mask(grid, cfg.N).reshape(-1)
-    coeffs = states[..., 0, :] * mask
-    quart = quartic_integral_coeffs(grid, coeffs.reshape(states.shape[:-2] + grid.mode_shape), band=cfg.N)
-    return (cfg.gamma / 4.0) * quart / TWO_PI**grid.d
+    flat = states.reshape((-1, 2, grid.n_modes))
+    quart = np.empty(flat.shape[0])
+    rows = state_batch_rows(grid)
+    for lo in range(0, flat.shape[0], rows):
+        coeffs = flat[lo : lo + rows, 0, :] * mask
+        quart[lo : lo + rows] = quartic_integral_coeffs(grid, coeffs.reshape((-1,) + grid.mode_shape), band=cfg.N)
+    return ((cfg.gamma / 4.0) * quart / TWO_PI**grid.d).reshape(states.shape[:-2])
 
 
 # ---------------------------------------------------------------------------

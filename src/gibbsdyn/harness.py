@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,7 +51,6 @@ from .linear_dynamics import (
 )
 from .observables import resolve, resolve_battery
 from .spectral import (
-    BATCH_ITEMS,
     GridSpec,
     abs2_modes,
     cube_mask,
@@ -58,6 +58,7 @@ from .spectral import (
     holder_norm,
     omega2,
     sobolev_pair_norm,
+    state_batch_rows,
 )
 
 SCHEMA_VERSION = 1
@@ -230,8 +231,22 @@ def _kicked_flow(cfg: ExperimentConfig, gamma: float) -> FlowConfig:
     return replace(cfg.flow, gamma=gamma * cfg.kick_factor, grid=cfg.grid)
 
 
-def _member_streams(cfg: ExperimentConfig, group: int, count: int) -> list:
-    return [rng.stream(cfg.master_seed, group, i) for i in range(count)]
+class MemberStreams(Sequence):
+    """The generators rng.stream(seed, group, i) for i < count, built when
+    asked: an index builds one and a slice the list of its own, so each
+    evolve_ensemble chunk builds only the streams it draws from."""
+
+    def __init__(self, seed: int, group: int, count: int):
+        self.seed, self.group, self.members = seed, group, range(count)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __getitem__(self, index):
+        picked = self.members[index]
+        if isinstance(picked, range):
+            return [rng.stream(self.seed, self.group, i) for i in picked]
+        return rng.stream(self.seed, self.group, picked)
 
 
 class BlowupError(RuntimeError):
@@ -255,7 +270,7 @@ def _require_finite(
     energies = np.empty(count)
     # in row chunks of the batch budget, so the check adds no ensemble-sized
     # temporaries; a non-finite or overflowing member's energy is NaN or inf
-    rows = max(1, BATCH_ITEMS // (2 * grid.n_modes))
+    rows = state_batch_rows(grid)
     with np.errstate(all="ignore"):
         for lo in range(0, count, rows):
             energies[lo : lo + rows] = energy_states(grid, finals[lo : lo + rows])
@@ -327,18 +342,21 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     states0 = sample_mu_states(grid, rng.stream(cfg.master_seed, 0), count)
     log_weights = -interaction_states(states0, gibbs)
-    ens = WeightedEnsemble(grid, states0, log_weights, cfg.master_seed)
     battery = resolve_battery(cfg.observables, grid)
 
+    # the finals are written over the initial states, which nothing reads again
     _, series, finals = evolve_ensemble(
         flow,
         states0,
-        _member_streams(cfg, 1, count),
+        MemberStreams(cfg.master_seed, 1, count),
         battery,
         sample_every=flow.n_steps,
         threads=cfg.threads,
+        out=states0,
     )
     _require_finite(grid, finals, series, log_weights)
+    # the ensemble holds the finals; estimate reads only its weights and length
+    ens = WeightedEnsemble(grid, finals, log_weights, cfg.master_seed)
 
     gates: list[Gate] = []
     stats: dict = {"observables": {}}
@@ -424,7 +442,7 @@ def ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     times, series, finals = evolve_ensemble(
         flow,
         states0,
-        _member_streams(cfg, 3, len(names)),
+        MemberStreams(cfg.master_seed, 3, len(names)),
         battery,
         threads=cfg.threads,
     )
@@ -522,9 +540,10 @@ def linear_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     _, series, finals = evolve_ensemble(
         flow,
         zeros,
-        _member_streams(cfg, 7, count),
+        MemberStreams(cfg.master_seed, 7, count),
         sample_every=flow.n_steps,
         threads=cfg.threads,
+        out=zeros,
     )
     _require_finite(grid, finals, series)
     mu_draws = sample_mu_states(grid, rng.stream(cfg.master_seed, 8), count)
@@ -571,8 +590,10 @@ def stick_decay_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     count = cfg.ensemble_size
     linear = FlowConfig(grid, N=-1, gamma=0.0, h=h, T=cfg.stick_time)
     zeros = np.zeros((count, 2, grid.n_modes), dtype=complex)
-    streams = _member_streams(cfg, 9, count)
-    _, _, node = evolve_ensemble(linear, zeros, streams, sample_every=linear.n_steps, threads=cfg.threads)
+    streams = MemberStreams(cfg.master_seed, 9, count)
+    _, _, node = evolve_ensemble(
+        linear, zeros, streams, sample_every=linear.n_steps, threads=cfg.threads, out=zeros
+    )
 
     n_windows = cfg.windows
     per_window = 4  # quarter-unit sampling inside each window

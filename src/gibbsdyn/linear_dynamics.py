@@ -185,14 +185,16 @@ def draw_increments(
     return out
 
 
-def increments_to_states(grid: GridSpec, eta: np.ndarray) -> np.ndarray:
-    """Expand half-lattice increments (..., n_half, 2) to flat states (..., 2, n_modes)."""
+def increments_to_states(grid: GridSpec, eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Expand half-lattice increments (..., n_half, 2) to flat states (..., 2,
+    n_modes), written into out when one is given."""
     # the half lattice is the flat range from the zero mode up, and its mirror
     # images are the range below it in reverse order (spectral._lattice), so
     # both writes are basic slices and together they cover every mode
     zero = half_lattice(grid)[0]
     e = eta.swapaxes(-1, -2)
-    out = np.empty(e.shape[:-1] + (grid.n_modes,), dtype=complex)
+    if out is None:
+        out = np.empty(e.shape[:-1] + (grid.n_modes,), dtype=complex)
     out[..., zero:] = e
     np.conjugate(e[..., 1:], out=out[..., zero - 1 :: -1])
     return out

@@ -30,7 +30,8 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 # complex entries per batched array (1 MiB): the budget for the stepper's
-# increment scatters, the held ensemble samples and the Hoelder transforms
+# increment scatters, the held ensemble samples, the Hoelder transforms and
+# the setup passes over an ensemble's states
 BATCH_ITEMS = 1 << 16
 
 
@@ -390,6 +391,12 @@ def sobolev_pair_norm(grid: GridSpec, states: np.ndarray, alpha: float) -> np.nd
         wp * np.abs(states[..., 1, :]) ** 2, axis=-1
     )
     return np.sqrt(val)
+
+
+def state_batch_rows(grid: GridSpec) -> int:
+    """Flat states (2, n_modes) per batch whose entries number at most
+    `BATCH_ITEMS`, and at least one."""
+    return max(1, BATCH_ITEMS // (2 * grid.n_modes))
 
 
 def holder_batch_rows(grid: GridSpec) -> int:

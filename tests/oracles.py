@@ -18,7 +18,9 @@ The per-sample loops at the end are the forms the library used before it
 batched its sample-time work: observables called once per sample time,
 remainder energies recomputed state by state, and the decay-weighted norm
 taking one Hoelder norm per propagated state.  The batched forms perform the
-same floating-point operations per row, so they agree bit for bit.
+same floating-point operations per row, so they agree bit for bit.  So do
+the base-measure draw and the interaction over a whole ensemble in one
+block, the forms the library used before its setup passes ran in row chunks.
 
 The reference solvers and samplers only tests call are built on the
 library's kernel: a Picard fixed-point solver for the remainder integral
@@ -253,6 +255,28 @@ def ensemble_series(cfg, initial_states, generators, observables, sample_every=N
         observe(i, layers[0])
     times = np.array([0.0] + [k * cfg.h for k in steps])
     return times, series, layers[0]
+
+
+def sample_mu_states_one_block(grid: GridSpec, gen: np.random.Generator, count: int) -> np.ndarray:
+    """gibbs.sample_mu_states with every member's normals drawn and scattered
+    as one block."""
+    half = half_lattice(grid)
+    g = gen.standard_normal((count, half.size, 2, 2))
+    z = (g[..., 0] + 1j * g[..., 1]) * (1.0 / np.sqrt(2.0))
+    z[:, 0, :] = g[:, 0, :, 0]
+    z[..., 0] /= np.sqrt(omega2(grid).reshape(-1)[half])
+    return increments_to_states(grid, z)
+
+
+def interaction_states_one_block(states: np.ndarray, cfg: GibbsConfig) -> np.ndarray:
+    """gibbs.interaction_states with every state's quartic evaluated in one
+    transform batch."""
+    if cfg.gamma == 0.0 or cfg.N < 0:
+        return np.zeros(states.shape[:-2])
+    grid = cfg.grid
+    coeffs = states[..., 0, :] * cube_mask(grid, cfg.N).reshape(-1)
+    quart = spectral.quartic_integral_coeffs(grid, coeffs.reshape(states.shape[:-2] + grid.mode_shape), band=cfg.N)
+    return (cfg.gamma / 4.0) * quart / TWO_PI**grid.d
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ chunk and block sizes through the caps `flow.MAX_ROW_CHUNK` and
 `flow.MAX_TIME_BLOCK`.
 """
 
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -21,7 +22,8 @@ import pytest
 import oracles
 from gibbsdyn import flow, linear_dynamics, rng, spectral
 from gibbsdyn.flow import ENERGY_CEILING, FlowConfig, energy_monitor, evolve, evolve_ensemble
-from gibbsdyn.gibbs import sample_mu_states
+from gibbsdyn.gibbs import GibbsConfig, interaction_states, sample_mu_states
+from gibbsdyn.harness import MemberStreams
 from gibbsdyn.linear_dynamics import propagator, xalpha_norm
 from gibbsdyn.observables import resolve_battery
 from gibbsdyn.spectral import (
@@ -334,29 +336,52 @@ def test_wide_ensembles_stay_within_the_budget(shape, threads, monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_wide_working_set_does_not_grow_with_the_horizon(threads):
-    # traced numpy allocations of the M=66 run at two horizons: the finals,
-    # then per worker thread one chunk's states and one draw block
+    # traced numpy allocations of the M=66 run at two horizons, with the
+    # finals written over the initial states and each chunk building its own
+    # streams: per worker thread, one chunk's states, streams and draw block
     cfg, count = WIDE["invariance-M66"]
-    init = sample_mu_states(cfg.grid, rng.stream(8, 0), count)
     battery = resolve_battery(("l2_u", "quartic"), cfg.grid)
     peaks = []
     for T in (0.32, 1.28):
-        gens = [rng.stream(8, 1, i) for i in range(count)]
+        init = sample_mu_states(cfg.grid, rng.stream(8, 0), count)
         tracemalloc.start()
         try:
-            evolve_ensemble(replace(cfg, T=T), init, gens, battery, sample_every=8, threads=threads)
+            evolve_ensemble(
+                replace(cfg, T=T), init, MemberStreams(8, 1, count), battery,
+                sample_every=8, threads=threads, out=init,
+            )
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     complex_bytes = np.dtype(complex).itemsize
-    finals = init.nbytes
     # a chunk's two state buffers, its scatter, held samples, kick scratch and
     # observable temporaries; the draw block and its transform's temporary
     state = 8 * spectral.BATCH_ITEMS * complex_bytes
     draws = 1.5 * flow.DRAW_ITEMS * complex_bytes
     slack = 2 << 20
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
-    assert max(peaks) <= finals + threads * (state + draws) + slack, peaks
+    assert max(peaks) <= threads * (state + draws) + slack, peaks
+
+
+def test_setup_passes_hold_one_batch():
+    # traced numpy allocations of the M=66 ensemble's base-measure draw and
+    # interaction: each holds its output and one row chunk's temporaries
+    cfg, count = WIDE["invariance-M66"]
+    gibbs = GibbsConfig(cfg.grid, cfg.N, cfg.gamma)
+    interaction_states(sample_mu_states(cfg.grid, rng.stream(8, 0), 1), gibbs)  # lattice caches
+    slack = 2 << 20
+    tracemalloc.start()
+    try:
+        states = sample_mu_states(cfg.grid, rng.stream(8, 0), count)
+        sampled = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        weights = interaction_states(states, gibbs)
+        weighed = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert sampled <= states.nbytes + slack, sampled
+    assert weighed <= weights.nbytes + slack, weighed
 
 
 @pytest.mark.parametrize("recorded", [True, False])
@@ -397,16 +422,94 @@ def test_narrow_grids_keep_full_row_chunks(monkeypatch):
     assert Counter(s[0] for s in shapes) == {1024: 2, 512: 1}
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_ensemble_leaves_initial_states_untouched(threads, monkeypatch):
+# ---------------------------------------------------------------------------
+# one states array per ensemble
+# ---------------------------------------------------------------------------
+
+SETUP_ROWS = 3
+
+
+@pytest.mark.parametrize("count", [1, SETUP_ROWS, SETUP_ROWS + 1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_setup_passes_match_one_block(d, count, monkeypatch):
+    # chunks of SETUP_ROWS states: one member, one full chunk, and a full
+    # chunk followed by a chunk of one
+    grid = GRIDS[d]
+    monkeypatch.setattr(spectral, "BATCH_ITEMS", SETUP_ROWS * 2 * grid.n_modes + 1)
+    assert spectral.state_batch_rows(grid) == SETUP_ROWS
+    gen, ref = rng.stream(12, d), rng.stream(12, d)
+    states = sample_mu_states(grid, gen, count)
+    assert np.array_equal(states, oracles.sample_mu_states_one_block(grid, ref, count))
+    assert gen.standard_normal() == ref.standard_normal()  # the same stream position
+    gibbs = GibbsConfig(grid, CUBES.get(d, 2), 0.7)
+    assert np.array_equal(interaction_states(states, gibbs), oracles.interaction_states_one_block(states, gibbs))
+
+
+def small_ensemble(monkeypatch):
+    """Five M=18 members in chunks of two rows and blocks of three steps."""
     monkeypatch.setattr(flow, "MAX_ROW_CHUNK", 2)
     monkeypatch.setattr(flow, "MAX_TIME_BLOCK", 3)
     grid = GRIDS[1]
     cfg = FlowConfig(grid, CUBES[1], 0.5, 0.01, 0.07)
-    init = sample_mu_states(grid, rng.stream(7, 0), ROWS)
+    return cfg, sample_mu_states(grid, rng.stream(7, 0), ROWS), resolve_battery(BATTERY, grid)
+
+
+def assert_runs_equal(got, want) -> None:
+    assert np.array_equal(got[0], want[0])
+    assert set(got[1]) == set(want[1])
+    for name in want[1]:
+        assert np.array_equal(got[1][name], want[1][name]), name
+    assert np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_ensemble_writes_finals_over_initial_states(threads, monkeypatch):
+    # one row per chunk; four workers, more than the cores, switching often,
+    # write their finals into the one array the others read from
+    cfg, init, battery = small_ensemble(monkeypatch)
+    monkeypatch.setattr(flow, "MAX_ROW_CHUNK", 1)
+    gens = lambda: [rng.stream(7, 1, i) for i in range(ROWS)]  # noqa: E731
+    want = evolve_ensemble(cfg, init, gens(), battery)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = evolve_ensemble(cfg, init, gens(), battery, threads=threads, out=init)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got[2] is init
+    assert_runs_equal(got, want)
+    with pytest.raises(ValueError, match="out has shape"):
+        evolve_ensemble(cfg, init, gens(), battery, out=init[1:])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_member_streams_match_the_list_of_streams(threads, monkeypatch):
+    cfg, init, battery = small_ensemble(monkeypatch)
+    streams = MemberStreams(7, 1, ROWS)
+    assert len(streams) == ROWS
+    draw = lambda gen: gen.standard_normal(4)  # noqa: E731
+    listed = [draw(rng.stream(7, 1, i)) for i in range(ROWS)]
+    assert np.array_equal([draw(g) for g in streams], listed)
+    assert np.array_equal(draw(streams[-1]), listed[-1])
+    assert np.array_equal([draw(g) for g in streams[1:4]], listed[1:4])
+    want = evolve_ensemble(cfg, init, [rng.stream(7, 1, i) for i in range(ROWS)], battery, threads=threads)
+    built = []
+    stream = rng.stream
+
+    def record(*key):
+        built.append(key)
+        return stream(*key)
+
+    monkeypatch.setattr(rng, "stream", record)
+    got = evolve_ensemble(cfg, init, MemberStreams(7, 1, ROWS), battery, threads=threads)
+    assert_runs_equal(got, want)
+    # every stream is built once, through the module attribute the tracer wraps
+    assert sorted(built) == [(7, 1, i) for i in range(ROWS)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_leaves_initial_states_untouched(threads, monkeypatch):
+    cfg, init, battery = small_ensemble(monkeypatch)
     kept = init.copy()
-    evolve_ensemble(
-        cfg, init, [rng.stream(7, 1, i) for i in range(ROWS)],
-        resolve_battery(BATTERY, grid), threads=threads,
-    )
+    evolve_ensemble(cfg, init, [rng.stream(7, 1, i) for i in range(ROWS)], battery, threads=threads)
     assert np.array_equal(init, kept)

@@ -648,16 +648,26 @@ def test_simulate_dumps_record_the_seed(tmp_path, capsys):
     assert load_noise(tmp_path / "trajectory_noise.bin").seed == 77
 
 
-def test_simulate_dump_noise_requires_recording(tmp_path, capsys):
-    rc = run(
-        tmp_path, "simulate",
-        "--set", "flow.T=0.5",
-        "--set", "flow.record_noise=false", "--set", "simulate.dump_noise=true",
-    )
-    assert rc == 64
-    assert "dump_noise requires flow.record_noise" in capsys.readouterr().err
-    # the conflict is found before the run, so nothing is written
-    assert not (tmp_path / "trajectory.csv").exists()
+def test_simulate_dumps_noise_without_recording(tmp_path, capsys):
+    # the dump draws the path again from the run's stream, so an unrecorded
+    # run writes the container a recorded one writes
+    containers = []
+    for record in ("false", "true"):
+        out = tmp_path / record
+        rc = run(
+            out, "simulate", "--seed", "5",
+            "--set", "flow.T=0.5",
+            "--set", f"flow.record_noise={record}", "--set", "simulate.dump_noise=true",
+        )
+        assert rc == 0
+        containers.append((out / "trajectory_noise.bin").read_bytes())
+    capsys.readouterr()
+    cfg = load_config("simulate", None, ["flow.T=0.5", "flow.record_noise=false"], 5)
+    flow = FlowConfig(GridSpec(**cfg["grid"]), **cfg["flow"])
+    noise = load_noise(tmp_path / "false" / "trajectory_noise.bin")
+    assert (noise.grid, noise.h, noise.seed) == (flow.grid, flow.h / 2, 5)
+    assert np.array_equal(noise.increments, redraw_noise(flow, rng.stream(5, 101)).increments)
+    assert containers[0] == containers[1]
 
 
 @pytest.mark.parametrize(

@@ -159,12 +159,18 @@ def test_workflow_runs_tier1_at_the_numpy_floor():
 
 def test_workflow_runs_a_traced_call_of_every_workload():
     # only a traced benchmark run checks that every layer is still called
-    # (tier-1 checks the names), so the workflow runs one for each workload
+    # (tier-1 checks the names), and only an untraced one makes several calls
+    # in one process, which must all write one report; so the workflow runs
+    # both for each workload, and fails unless each is correct
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
-    loop = re.search(
-        r"for w in ([a-z_ ]+); do\n\s*last=\$\(python perfbench/run.py --workload \"\$w\" --seconds 1 --trace 1 ",
-        workflow,
-    )
-    assert loop, "the workflow runs no traced benchmark loop"
-    assert set(loop.group(1).split()) == _layertrace().ALL
-    assert "'{\"correct\": true'*) ;;" in workflow
+    for trace in ("1", "0"):
+        loop = re.search(
+            r"for w in ([a-z_ ]+); do\n\s*last=\$\(python perfbench/run.py --workload \"\$w\" "
+            rf"--seconds 1 --trace {trace} \| tail -n 1\)\n(.*?)\n\s*done\n",
+            workflow,
+            re.DOTALL,
+        )
+        assert loop, f"the workflow runs no --trace {trace} benchmark loop"
+        assert set(loop.group(1).split()) == _layertrace().ALL
+        assert "'{\"correct\": true'*) ;;" in loop.group(2)
+        assert "exit 1" in loop.group(2)
