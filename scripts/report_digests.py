@@ -11,7 +11,14 @@ that must keep every report byte-identical is checked with diff:
     PYTHONPATH=src python3 scripts/report_digests.py --only simulate \\
         --set simulate.dump_noise=true > after_simulate.txt
 
-Every --set override goes to every subcommand run.
+or in one command against a saved list, with --check:
+
+    PYTHONPATH=src python3 scripts/report_digests.py > before.txt   # in one checkout
+    PYTHONPATH=src python3 scripts/report_digests.py --check before.txt   # in the other
+
+--check compares the lines of the subcommands it runs with the saved ones,
+names each output that differs, is missing or is new, and exits 1 on any
+mismatch.  Every --set override goes to every subcommand run.
 """
 
 import argparse
@@ -38,10 +45,16 @@ def main(argv: list[str] | None = None) -> int:
         "--set", action="append", default=[], metavar="KEY=VALUE", dest="overrides",
         help="config override passed to every subcommand; repeatable",
     )
+    ap.add_argument(
+        "--check", type=Path, metavar="FILE",
+        help="compare with the lines saved in FILE; exit 1 on any mismatch",
+    )
     args = ap.parse_args(argv)
 
+    names = args.only or SUBCOMMANDS
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name in args.only or SUBCOMMANDS:
+        for name in names:
             out = Path(tmp) / name
             cli_argv = [name, "--out", str(out)]
             for item in args.overrides:
@@ -52,9 +65,39 @@ def main(argv: list[str] | None = None) -> int:
             for path in sorted(out.rglob("*")):
                 if path.is_file() and not path.name.endswith("_runtime.json"):
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    print(f"{digest}  {path.relative_to(tmp).as_posix()}")
-            print(f"exit {code}  {name}", flush=True)
-    return 0
+                    lines.append(f"{digest}  {path.relative_to(tmp).as_posix()}")
+                    print(lines[-1])
+            lines.append(f"exit {code}  {name}")
+            print(lines[-1], flush=True)
+    if args.check is None:
+        return 0
+    return check(lines, args.check.read_text().splitlines(), names)
+
+
+def check(lines: list[str], saved: list[str], names: list[str]) -> int:
+    """Print a line for each output of the run subcommands whose digest or
+    exit code differs from the saved one, or that only one side has; return
+    1 when any does, 0 otherwise."""
+
+    def by_output(rows):
+        # "<digest>  <subcommand>/<file>" or "exit <code>  <subcommand>"
+        pairs = (row.split("  ", 1) for row in rows if row)
+        return {key: value for value, key in pairs if key.split("/")[0] in names}
+
+    got, want = by_output(lines), by_output(saved)
+    bad = 0
+    for key in sorted(got.keys() | want.keys()):
+        if key not in want:
+            print(f"new      {key}")
+        elif key not in got:
+            print(f"missing  {key}")
+        elif got[key] != want[key]:
+            print(f"differs  {key}: {want[key]} -> {got[key]}")
+        else:
+            continue
+        bad += 1
+    print(f"{bad} of {len(got.keys() | want.keys())} outputs differ" if bad else f"all {len(got)} outputs match")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

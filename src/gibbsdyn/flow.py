@@ -19,6 +19,7 @@ cube at all times.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -45,12 +46,22 @@ from .spectral import (
 )
 
 ENERGY_CEILING = 1e12
-# evolve_ensemble's working set: a row chunk's states take at most BATCH_ITEMS
-# complex entries and its draw block at most DRAW_ITEMS (6 MiB), within these
-# caps; a smaller draw budget costs more per-row draw calls per step
+# evolve_ensemble's working set per worker thread: a row chunk's states take at
+# most CHUNK_ITEMS complex entries (256 KiB) and its draw block at most
+# DRAW_ITEMS (2 MiB), within these caps.  A row makes one draw call per block,
+# ceil(n_steps / block_steps) in all, and a block's steps grow as its rows
+# shrink, so a small budget with small chunks costs no more calls per member
+# (4 over 25 steps at M=66) and no more interpreter-lock hand-offs
 MAX_ROW_CHUNK = 1024
 MAX_TIME_BLOCK = 128
-DRAW_ITEMS = 6 * BATCH_ITEMS
+CHUNK_ITEMS = BATCH_ITEMS // 4
+DRAW_ITEMS = 2 * BATCH_ITEMS
+
+
+def chunk_rows(grid: GridSpec) -> int:
+    """Rows per evolve_ensemble chunk: as many as keep a chunk's states within
+    CHUNK_ITEMS complex entries, at least one and at most MAX_ROW_CHUNK."""
+    return min(MAX_ROW_CHUNK, max(1, CHUNK_ITEMS // (2 * grid.n_modes)))
 
 
 @dataclass(frozen=True)
@@ -357,44 +368,46 @@ def evolve(
 
 def evolve_ensemble(
     cfg: FlowConfig,
-    initial_states: np.ndarray,
+    initial_states: Sequence[np.ndarray],
     generators: Sequence[np.random.Generator],
     observables: dict[str, callable] | None = None,
     *,
     sample_every: int | None = None,
     threads: int = 1,
-    out: np.ndarray | None = None,
+    out=None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
     """Evolve a batch of trajectories with independent per-row streams.
 
-    initial_states: (B, 2, n_modes) complex.  generators is a sequence of B
-    generators, one per row; only its length and its slices are used, one
-    slice per row chunk, so a sequence that builds a slice's generators when
-    asked lets each chunk build only its own streams.  observables maps names
-    to vectorized functions (grid, states block) -> (rows,) values, evaluated
-    at t = 0 and every sample_every steps (default: the thinning default).
-    The final states are written into out when one is given, and out may be
-    initial_states itself: a chunk reads its initial rows before it writes
-    its final ones.
+    initial_states holds B flat states (2, n_modes) and generators B
+    generators, one per row.  Of either only the length and one slice per
+    row chunk are used, the states' slice being a (rows, 2, n_modes) complex
+    array, so a sequence that builds a slice when asked (a redrawn ensemble,
+    a chunk's own streams) is never held whole.  observables maps names to
+    vectorized functions (grid, states block) -> (rows,) values, evaluated at
+    t = 0 and every sample_every steps (default: the thinning default).
+    Each chunk's final states are written with out[lo:hi] = finals, into a
+    fresh (B, 2, n_modes) array when out is None.  out may be an array, the
+    initial states themselves (a chunk reads its initial rows before it
+    writes its final ones), or any sink of length B that keeps what it needs
+    of each chunk's finals.
 
-    Rows are stepped in chunks, and each chunk draws its increments a block
-    of steps at a time.  Both sizes follow from the batch budget: a chunk's
-    states fill at most BATCH_ITEMS complex entries and its draw block at
-    most DRAW_ITEMS, within MAX_ROW_CHUNK rows and MAX_TIME_BLOCK steps, so
-    memory stays bounded whatever the grid, the ensemble size and the
-    horizon.
+    Rows are stepped in chunks of chunk_rows(grid), and each chunk draws its
+    increments a block of steps at a time: a chunk's states fill at most
+    CHUNK_ITEMS complex entries and its draw block at most DRAW_ITEMS,
+    within MAX_ROW_CHUNK rows and MAX_TIME_BLOCK steps, so a worker's memory
+    stays bounded whatever the ensemble size and the horizon.
 
-    Returns (sample_times, {name: (n_samples, B)}, final_states), the final
-    states being out when one is given.  Values
-    depend only on the generators' streams and the config; row chunking, time
-    blocking, and thread count never change results, because each row consumes
-    its own fixed-order stream and outputs are assembled by row index.
+    Returns (sample_times, {name: (n_samples, B)}, out).  Values depend only
+    on the initial states, the generators' streams and the config; row
+    chunking, time blocking, and thread count never change results, because
+    each row consumes its own fixed-order stream and outputs are assembled
+    by row index.
     """
     grid = cfg.grid
     stepper = Stepper(cfg)
     table = stepper.table
     n_steps = cfg.n_steps
-    B = initial_states.shape[0]
+    B = len(initial_states)
     if len(generators) != B:
         raise ValueError("one generator per trajectory row is required")
     every = default_thin(cfg.h) if sample_every is None else max(1, sample_every)
@@ -405,13 +418,15 @@ def evolve_ensemble(
         name: np.empty((len(sample_times), B)) for name in obs
     }
     if out is None:
-        out = np.empty_like(initial_states)
-    elif out.shape != initial_states.shape:
-        raise ValueError(f"out has shape {out.shape}, expected {initial_states.shape}")
-    chunk_rows = min(MAX_ROW_CHUNK, max(1, BATCH_ITEMS // (2 * grid.n_modes)))
+        out = np.empty((B, 2, grid.n_modes), dtype=complex)
+    elif len(out) != B:
+        raise ValueError(f"out holds {len(out)} members, expected {B}")
+    rows = chunk_rows(grid)
     # a block is (rows, 2 * steps, n_half, 2) complex
-    per_step = max(1, min(chunk_rows, B)) * 4 * table.n_half
+    per_step = max(1, min(rows, B)) * 4 * table.n_half
     block_steps = min(MAX_TIME_BLOCK, max(1, DRAW_ITEMS // per_step))
+
+    worker = threading.local()
 
     def run_chunk(lo: int, hi: int) -> None:
         gens = generators[lo:hi]
@@ -428,16 +443,20 @@ def evolve_ensemble(
                 series[name][idx : idx + n, lo:hi] = fn(grid, flat).reshape(n, hi - lo)
 
         def blocks():
-            # one buffer serves every block of the chunk: the stepper is done
-            # with a block before it asks for the next
+            # one buffer per worker thread serves every block of the chunks it
+            # runs, one at a time: the stepper is done with a block before it
+            # asks for the next.  Allocated once, it is not freed and faulted
+            # in again for every chunk as malloc trims the heap's top
             step_items = (hi - lo) * 2 * table.n_half * 2
-            buf = np.empty(min(block_steps, n_steps) * step_items, dtype=complex)
+            buf = getattr(worker, "draws", None)
+            if buf is None:
+                buf = worker.draws = np.empty(min(block_steps, n_steps) * per_step, dtype=complex)
             for k in range(0, n_steps, block_steps):
                 nb = min(block_steps, n_steps - k)
                 draws = buf[: nb * step_items].reshape(hi - lo, 2 * nb, table.n_half, 2)
                 yield draw_increments(table, gens, 2 * nb, draws)
 
-        layers = initial_states[None, lo:hi]
+        layers = initial_states[lo:hi][None]
         observe(0, layers)
         # sample i + 1 is held at i % per_call until held is full or the run ends
         for i, (k, layers) in enumerate(stepper.run(layers, blocks(), every)):
@@ -447,7 +466,7 @@ def evolve_ensemble(
                 observe(i - j + 1, held[: j + 1])
         out[lo:hi] = layers[0]
 
-    chunks = [(lo, min(lo + chunk_rows, B)) for lo in range(0, B, chunk_rows)]
+    chunks = [(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
     if threads > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -15,6 +15,8 @@ measure as proposal.  They serve as mutual oracles.
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +59,8 @@ def sample_mu_states(grid: GridSpec, gen: np.random.Generator, count: int) -> np
     Consumes a fixed (count, n_half, 2, 2) block of standard normals so the
     values depend only on the generator's position, not on batching.  The
     block is drawn and scattered `state_batch_rows` rows at a time; normals
-    fill in C order, so the chunks draw the block's values.
+    fill in C order, so the chunks draw the block's values, and so do two
+    calls for count = a + b, which is how `MuDraws` redraws a slice of it.
     """
     half = half_lattice(grid)
     nh = half.size
@@ -102,17 +105,64 @@ def interaction_states(states: np.ndarray, cfg: GibbsConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class MuDraws(Sequence):
+    """The states sample_mu_states(cfg.grid, gen, count) draws, held as
+    generator positions, with their log-weights -interaction_states.
+
+    One pass draws the members `rows` at a time, weighs them and keeps a copy
+    of the generator at each batch start; it leaves gen where
+    sample_mu_states would.  A slice [lo:hi] redraws its members from the
+    copy at the start of lo's batch, skipping the normals of the members
+    before lo, and has the bits of the full draw's rows lo..hi-1; an index
+    is a slice of one.  A slice that starts on a batch start draws its
+    normals once more, and no more.  `shape` is the full draw's.
+    """
+
+    def __init__(self, cfg: GibbsConfig, gen: np.random.Generator, count: int, rows: int):
+        grid = cfg.grid
+        self.grid, self.rows = grid, rows
+        self.shape = (count, 2, grid.n_modes)
+        self.log_weights = np.empty(count)
+        self._starts = []
+        for lo in range(0, count, rows):
+            self._starts.append(copy.deepcopy(gen))
+            states = sample_mu_states(grid, gen, min(rows, count - lo))
+            self.log_weights[lo : lo + rows] = -interaction_states(states, cfg)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index) -> np.ndarray:
+        picked = range(len(self))[index]
+        if isinstance(picked, int):
+            return self[picked : picked + 1][0]
+        if picked.step != 1:
+            raise ValueError("MuDraws slices take every member")
+        lo, count = picked.start, len(picked)
+        if count == 0:
+            return np.empty((0,) + self.shape[1:], dtype=complex)
+        batch = lo // self.rows
+        gen = copy.deepcopy(self._starts[batch])
+        skip = lo - batch * self.rows
+        if skip:
+            # one member is (n_half, 2, 2) normals, as sample_mu_states draws them
+            gen.standard_normal((skip, half_lattice(self.grid).size, 2, 2))
+        return sample_mu_states(self.grid, gen, count)
+
+
 @dataclass
 class WeightedEnsemble:
-    """Samples stored as a flat state block with per-sample log weights."""
+    """Samples with per-sample log weights.  states is a flat state block
+    (count, 2, n_modes), or a `MuDraws` whose slices are such blocks;
+    `estimate` reads only the weights and the length."""
 
     grid: GridSpec
-    states: np.ndarray  # (count, 2, n_modes) complex
+    states: np.ndarray | MuDraws  # (count, 2, n_modes) complex
     log_weights: np.ndarray  # (count,), always <= 0
     seed: int = 0
 
     def __len__(self) -> int:
-        return self.states.shape[0]
+        return len(self.states)
 
     def check(self) -> None:
         if len(self.log_weights) != len(self):

@@ -32,13 +32,14 @@ from .flow import (
     energy_states,
     evolve,
     evolve_ensemble,
+    chunk_rows,
     ENERGY_CEILING,
 )
 from .gibbs import (
     GibbsConfig,
+    MuDraws,
     WeightedEnsemble,
     estimate,
-    interaction_states,
     sample_mu_states,
     sample_rho,
 )
@@ -254,9 +255,49 @@ class BlowupError(RuntimeError):
     non-finite."""
 
 
+class FinalChecks:
+    """A sink for evolve_ensemble's final states that keeps of each member
+    only what _require_finite reads: its energy and whether it ended finite.
+    A chunk's finals go in with checks[lo:hi] = finals, from the worker that
+    stepped them; a non-finite or overflowing member's energy is NaN or inf.
+
+    Read as an array, the sink is its energies, one per member, so a tool
+    that counts the non-finite rows of evolve_ensemble's finals counts the
+    members whose final energy is not finite."""
+
+    def __init__(self, grid: GridSpec, count: int):
+        self.grid = grid
+        self.energies = np.empty(count)
+        self.finite = np.empty(count, dtype=bool)
+
+    @classmethod
+    def of(cls, grid: GridSpec, finals: np.ndarray) -> "FinalChecks":
+        """The checks of a finals array, taken in row chunks of the batch
+        budget, so they add no ensemble-sized temporaries."""
+        checks = cls(grid, len(finals))
+        rows = state_batch_rows(grid)
+        for lo in range(0, len(finals), rows):
+            checks[lo : lo + rows] = finals[lo : lo + rows]
+        return checks
+
+    def __len__(self) -> int:
+        return len(self.energies)
+
+    def __setitem__(self, index: slice, finals: np.ndarray) -> None:
+        with np.errstate(all="ignore"):
+            self.energies[index] = energy_states(self.grid, finals)
+        self.finite[index] = np.isfinite(finals).reshape(len(finals), -1).all(axis=1)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.energies.shape
+
+    def reshape(self, *shape) -> np.ndarray:
+        return self.energies.reshape(*shape)
+
+
 def _require_finite(
-    grid: GridSpec,
-    finals: np.ndarray,
+    checks: FinalChecks,
     series: dict[str, np.ndarray],
     log_weights: np.ndarray | None = None,
 ) -> None:
@@ -266,25 +307,17 @@ def _require_finite(
     is a numerical failure, not a statistic to gate on, however small its
     weight.  With log_weights, the error gives the blown-up members' share of
     the normalised weight."""
-    count = finals.shape[0]
-    energies = np.empty(count)
-    # in row chunks of the batch budget, so the check adds no ensemble-sized
-    # temporaries; a non-finite or overflowing member's energy is NaN or inf
-    rows = state_batch_rows(grid)
-    with np.errstate(all="ignore"):
-        for lo in range(0, count, rows):
-            energies[lo : lo + rows] = energy_states(grid, finals[lo : lo + rows])
-    blown = ~(energies <= ENERGY_CEILING)
+    blown = ~(checks.energies <= ENERGY_CEILING)
     names = [name for name, values in series.items() if not np.isfinite(values).all()]
     if blown.any() or names:
-        nonfinite = int(np.count_nonzero(~np.isfinite(finals).reshape(count, -1).all(axis=1)))
+        nonfinite = int(np.count_nonzero(~checks.finite))
         share = ""
         if log_weights is not None:
             w = np.exp(log_weights - log_weights.max())
             share = f", with {w[blown].sum() / w.sum():.3g} of the normalised weight"
         n = int(np.count_nonzero(blown))
         raise BlowupError(
-            f"{n} of {count} ensemble members broke down ({nonfinite} ended non-finite, "
+            f"{n} of {len(checks)} ensemble members broke down ({nonfinite} ended non-finite, "
             f"{n - nonfinite} above energy {ENERGY_CEILING:g}){share}; "
             f"non-finite observables: {', '.join(names) or 'none'}"
         )
@@ -340,23 +373,22 @@ def invariance_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     flow = _kicked_flow(cfg, gibbs.gamma)
     count = cfg.ensemble_size
 
-    states0 = sample_mu_states(grid, rng.stream(cfg.master_seed, 0), count)
-    log_weights = -interaction_states(states0, gibbs)
+    # the initial states are redrawn chunk by chunk, and of the finals only
+    # the checks are kept, so no states array is ever held whole
+    states0 = MuDraws(gibbs, rng.stream(cfg.master_seed, 0), count, rows=chunk_rows(grid))
     battery = resolve_battery(cfg.observables, grid)
-
-    # the finals are written over the initial states, which nothing reads again
-    _, series, finals = evolve_ensemble(
+    checks = FinalChecks(grid, count)
+    _, series, _ = evolve_ensemble(
         flow,
         states0,
         MemberStreams(cfg.master_seed, 1, count),
         battery,
         sample_every=flow.n_steps,
         threads=cfg.threads,
-        out=states0,
+        out=checks,
     )
-    _require_finite(grid, finals, series, log_weights)
-    # the ensemble holds the finals; estimate reads only its weights and length
-    ens = WeightedEnsemble(grid, finals, log_weights, cfg.master_seed)
+    _require_finite(checks, series, states0.log_weights)
+    ens = WeightedEnsemble(grid, states0, states0.log_weights, cfg.master_seed)
 
     gates: list[Gate] = []
     stats: dict = {"observables": {}}
@@ -439,14 +471,16 @@ def ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     initials = _default_initial_states(cfg)
     names = list(initials)
     states0 = np.stack([initials[k] for k in names])
-    times, series, finals = evolve_ensemble(
+    checks = FinalChecks(grid, len(names))
+    times, series, _ = evolve_ensemble(
         flow,
         states0,
         MemberStreams(cfg.master_seed, 3, len(names)),
         battery,
         threads=cfg.threads,
+        out=checks,
     )
-    _require_finite(grid, finals, series)
+    _require_finite(checks, series)
     keep = times > burn
     keep_late = times > 2 * burn if burn > 0 else keep
 
@@ -545,7 +579,7 @@ def linear_ergodicity_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         threads=cfg.threads,
         out=zeros,
     )
-    _require_finite(grid, finals, series)
+    _require_finite(FinalChecks.of(grid, finals), series)
     mu_draws = sample_mu_states(grid, rng.stream(cfg.master_seed, 8), count)
     scale = cfg.mu_scale
     idx0 = flat_index(grid, (0,) * grid.d)

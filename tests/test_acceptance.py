@@ -446,8 +446,8 @@ def test_criterion_12_reproducibility():
             experiment=experiment, grid=grid, threads=threads, **kw,
         )))
 
-    # 2560 members are three row chunks of evolve_ensemble (1024, 1024, 512),
-    # so the thread pool runs, and a chunk smaller than the others
+    # 2560 members are six row chunks of evolve_ensemble (five of 481 and
+    # one of 155), so the thread pool runs, and a chunk smaller than the others
     inv = dict(
         flow=FlowConfig(grid=grid, N=4, gamma=0.1, h=0.01, T=0.2),
         gibbs=GibbsConfig(grid=grid, N=4, gamma=0.1),

@@ -5,10 +5,12 @@ time, every remainder energy recomputed from `v_states()`, one Hoelder norm per
 propagated state in the decay-weighted norm.  The batched forms perform the
 same floating-point operations per row, so results are compared with
 np.array_equal and ==, never with a tolerance.  `evolve_ensemble`'s row
-chunks and draw blocks are held to the batch budget, and compared with the
-fixed 1024-row, 128-step chunking they replaced the same way.  Tests set the
-chunk and block sizes through the caps `flow.MAX_ROW_CHUNK` and
-`flow.MAX_TIME_BLOCK`.
+chunks and draw blocks are held to the per-worker budget, and compared with
+the fixed 1024-row, 128-step chunking they replaced the same way.  Tests set
+the chunk and block sizes through the caps `flow.MAX_ROW_CHUNK` and
+`flow.MAX_TIME_BLOCK`, or the budgets `flow.CHUNK_ITEMS` and
+`flow.BATCH_ITEMS`.  The invariance ensemble's initial states are redrawn
+chunk by chunk (`gibbs.MuDraws`) with the bits of the one full draw.
 """
 
 import sys
@@ -22,8 +24,8 @@ import pytest
 import oracles
 from gibbsdyn import flow, linear_dynamics, rng, spectral
 from gibbsdyn.flow import ENERGY_CEILING, FlowConfig, energy_monitor, evolve, evolve_ensemble
-from gibbsdyn.gibbs import GibbsConfig, interaction_states, sample_mu_states
-from gibbsdyn.harness import MemberStreams
+from gibbsdyn.gibbs import GibbsConfig, MuDraws, interaction_states, sample_mu_states
+from gibbsdyn.harness import ExperimentConfig, FinalChecks, MemberStreams, invariance_experiment
 from gibbsdyn.linear_dynamics import propagator, xalpha_norm
 from gibbsdyn.observables import resolve_battery
 from gibbsdyn.spectral import (
@@ -67,11 +69,12 @@ def test_ensemble_series_match_per_sample_loop(d, time_block, row_chunk, threads
     monkeypatch.setattr(flow, "MAX_ROW_CHUNK", row_chunk)
     monkeypatch.setattr(flow, "MAX_TIME_BLOCK", time_block)
     if budget == "small":
-        # a sample of three rows fills the budget, so the ROWS cap splits
+        # a sample of three rows fills both budgets, so the ROWS cap splits
         # the rows into chunks of 3 and 2 that hold a single sample at a
         # time, a chunk of one row holds three, and batches cross time
         # blocks of 1 and 3 steps
-        monkeypatch.setattr(flow, "BATCH_ITEMS", 3 * 2 * grid.n_modes)
+        for name in ("BATCH_ITEMS", "CHUNK_ITEMS"):
+            monkeypatch.setattr(flow, name, 3 * 2 * grid.n_modes)
     init = sample_mu_states(grid, rng.stream(5, 0), ROWS)
     battery = resolve_battery(BATTERY, grid)
 
@@ -321,11 +324,12 @@ def test_wide_ensembles_stay_within_the_budget(shape, threads, monkeypatch):
     rows = max(s[0] for s in shapes)
     chunks = -(-count // rows)
     assert 1 < chunks < len(shapes)  # several chunks, several blocks each
-    assert rows * 2 * cfg.grid.n_modes <= spectral.BATCH_ITEMS
+    assert rows == flow.chunk_rows(cfg.grid)
+    assert rows * 2 * cfg.grid.n_modes <= flow.CHUNK_ITEMS
     assert max(np.prod(s) for s in shapes) <= flow.DRAW_ITEMS
     # the derived chunking gives the values of the fixed one: with budgets
     # too large to bind, the caps set the chunks and blocks
-    for name in ("BATCH_ITEMS", "DRAW_ITEMS"):
+    for name in ("BATCH_ITEMS", "CHUNK_ITEMS", "DRAW_ITEMS"):
         monkeypatch.setattr(flow, name, 1 << 40)
     want = wide_run(shape, threads=threads)
     assert np.array_equal(got[0], want[0])
@@ -354,13 +358,48 @@ def test_wide_working_set_does_not_grow_with_the_horizon(threads):
         finally:
             tracemalloc.stop()
     complex_bytes = np.dtype(complex).itemsize
-    # a chunk's two state buffers, its scatter, held samples, kick scratch and
-    # observable temporaries; the draw block and its transform's temporary
-    state = 8 * spectral.BATCH_ITEMS * complex_bytes
+    # a chunk's two state buffers and its kick scratch, in chunk-sized
+    # arrays; its scatter, its held samples and the observables' temporaries
+    # on them, each at most a batch; the draw block and its transform's
+    # temporary
+    state = (4 * flow.CHUNK_ITEMS + 4 * spectral.BATCH_ITEMS) * complex_bytes
     draws = 1.5 * flow.DRAW_ITEMS * complex_bytes
     slack = 2 << 20
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
     assert max(peaks) <= threads * (state + draws) + slack, peaks
+
+
+def invariance_config(count: int, threads: int) -> ExperimentConfig:
+    """Criterion 3's M=66 shape over three steps, at count members."""
+    grid = GridSpec(1, 66, 2.0)
+    return ExperimentConfig(
+        experiment="invariance", grid=grid, flow=FlowConfig(grid, 16, 1.0, 0.01, 0.03),
+        gibbs=GibbsConfig(grid, 16, 1.0), ensemble_size=count, threads=threads, ess_floor=1.0,
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_invariance_working_set_does_not_grow_with_the_ensemble(threads):
+    # traced numpy allocations of the whole experiment at two ensemble sizes:
+    # no array of the members' states is held, so the peaks differ only by
+    # the values the run keeps per member
+    invariance_experiment(invariance_config(256, threads))  # tables and FFT caches
+    peaks = {}
+    for count in (2048, 8192):
+        cfg = invariance_config(count, threads)
+        tracemalloc.start()
+        try:
+            invariance_experiment(cfg)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # per member: its log-weight, final energy and finiteness, two samples of
+    # each observable, and its share of the generator copy kept per chunk
+    # (under 1 KiB per 126 members); the slack covers the two workers'
+    # buffers peaking together in one run and not in the other
+    per_member = 8 * (3 + 2 * len(cfg.observables)) + 8
+    slack = 1 << 20
+    assert peaks[8192] - peaks[2048] <= 6144 * per_member + slack, peaks
 
 
 def test_setup_passes_hold_one_batch():
@@ -412,18 +451,19 @@ def test_trajectory_working_set_does_not_grow_with_the_horizon(recorded):
 
 
 def test_narrow_grids_keep_full_row_chunks(monkeypatch):
-    # criterion 12's 2560 members at M=18 are three row chunks (1024, 1024,
-    # 512), so its thread-count check runs the pool on unequal chunks
+    # criterion 12's 2560 members at M=18 are six row chunks, five full ones
+    # of 481 rows and one of 155, so its thread-count check runs the pool on
+    # unequal chunks
     grid = GridSpec(1, 18, 2.0)
     cfg = FlowConfig(grid, 4, 0.1, 0.01, 0.02)  # one block per chunk
     init = np.zeros((2560, 2, grid.n_modes), dtype=complex)
     shapes = record_draw_blocks(monkeypatch)
     evolve_ensemble(cfg, init, [rng.stream(9, 1, i) for i in range(2560)], threads=2)
-    assert Counter(s[0] for s in shapes) == {1024: 2, 512: 1}
+    assert Counter(s[0] for s in shapes) == {481: 5, 155: 1}
 
 
 # ---------------------------------------------------------------------------
-# one states array per ensemble
+# no states array held whole
 # ---------------------------------------------------------------------------
 
 SETUP_ROWS = 3
@@ -443,6 +483,28 @@ def test_setup_passes_match_one_block(d, count, monkeypatch):
     assert gen.standard_normal() == ref.standard_normal()  # the same stream position
     gibbs = GibbsConfig(grid, CUBES.get(d, 2), 0.7)
     assert np.array_equal(interaction_states(states, gibbs), oracles.interaction_states_one_block(states, gibbs))
+
+
+@pytest.mark.parametrize("count", [1, SETUP_ROWS, SETUP_ROWS + 1, 3 * SETUP_ROWS + 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mu_draws_replay_the_full_draw(d, count):
+    # batches of SETUP_ROWS members, and every slice: on batch starts, inside
+    # a batch, across batch boundaries, and empty; an index reads a slice of one
+    grid = GRIDS[d]
+    gibbs = GibbsConfig(grid, CUBES.get(d, 2), 0.7)
+    gen, ref = rng.stream(13, d), rng.stream(13, d)
+    draws = MuDraws(gibbs, gen, count, rows=SETUP_ROWS)
+    full = sample_mu_states(grid, ref, count)
+    assert gen.standard_normal() == ref.standard_normal()  # the same stream position
+    assert len(draws) == count and draws.shape == full.shape
+    assert np.array_equal(draws.log_weights, -interaction_states(full, gibbs))
+    for lo in range(count + 1):
+        for hi in range(lo, count + 1):
+            assert np.array_equal(draws[lo:hi], full[lo:hi]), (lo, hi)
+    assert np.array_equal(draws[-2:], full[-2:])
+    assert np.array_equal(draws[-1], full[-1]) and np.array_equal(list(draws), list(full))
+    with pytest.raises(ValueError):
+        draws[::2]
 
 
 def small_ensemble(monkeypatch):
@@ -478,7 +540,7 @@ def test_ensemble_writes_finals_over_initial_states(threads, monkeypatch):
         sys.setswitchinterval(interval)
     assert got[2] is init
     assert_runs_equal(got, want)
-    with pytest.raises(ValueError, match="out has shape"):
+    with pytest.raises(ValueError, match="out holds 4 members, expected 5"):
         evolve_ensemble(cfg, init, gens(), battery, out=init[1:])
 
 
@@ -505,6 +567,32 @@ def test_member_streams_match_the_list_of_streams(threads, monkeypatch):
     assert_runs_equal(got, want)
     # every stream is built once, through the module attribute the tracer wraps
     assert sorted(built) == [(7, 1, i) for i in range(ROWS)]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_ensemble_reads_redrawn_states_into_final_checks(threads, monkeypatch):
+    # one row per chunk reads MuDraws batches of three members, so most
+    # chunks start inside a batch; four workers, more than the cores,
+    # switching often, copy the kept generators and write into one sink,
+    # which keeps each member's energy and finiteness as FinalChecks.of
+    # takes them from the finals
+    cfg, init, battery = small_ensemble(monkeypatch)
+    monkeypatch.setattr(flow, "MAX_ROW_CHUNK", 1)
+    draws = MuDraws(GibbsConfig(cfg.grid, cfg.N, cfg.gamma), rng.stream(7, 0), ROWS, rows=3)
+    gens = lambda: [rng.stream(7, 1, i) for i in range(ROWS)]  # noqa: E731
+    want = evolve_ensemble(cfg, init, gens(), battery)
+    checks = FinalChecks(cfg.grid, ROWS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = evolve_ensemble(cfg, draws, gens(), battery, threads=threads, out=checks)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got[2] is checks
+    assert_runs_equal(got[:2] + (want[2],), want)
+    ref = FinalChecks.of(cfg.grid, want[2])
+    assert np.array_equal(checks.energies, ref.energies)
+    assert np.array_equal(checks.finite, ref.finite) and checks.finite.all()
 
 
 @pytest.mark.parametrize("threads", [1, 2])

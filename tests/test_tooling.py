@@ -70,11 +70,13 @@ STEP_LAYERS = (
 )
 
 
-@pytest.mark.parametrize("name", ["ergodicity", "coupling"])
+@pytest.mark.parametrize("name", ["ergodicity", "coupling", "invariance"])
 def test_traced_smoke_calls_every_stepping_layer(tmp_path, name):
     # a kernel change that stops calling a traced layer (say, a kick that no
     # longer goes through kick_states and dealiased_cube_coeffs) must fail
-    # here, not only in a traced benchmark run
+    # here, not only in a traced benchmark run; invariance hands
+    # evolve_ensemble redrawn states and a sink, which the tracer's work
+    # counter reads as arrays
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_SMOKE, str(ROOT / "perfbench" / "layertrace.py"), str(tmp_path), name],
@@ -88,6 +90,11 @@ def test_traced_smoke_calls_every_stepping_layer(tmp_path, name):
     assert cube["fft_points"] > 0
     # every kick goes through one dealiased cube
     assert cube["calls"] == summary["flow.kick_states"]["calls"]
+    if name == "invariance":
+        for layer in ("gibbs.sample_mu_states", "gibbs.interaction_states", "flow.evolve_ensemble"):
+            assert summary[layer]["calls"] > 0, layer
+        assert summary["flow.evolve_ensemble"]["member_steps"] > 0
+        assert summary["flow.evolve_ensemble"]["blowups"] == 0
 
 
 def test_evolve_work_counter_inputs():
@@ -131,6 +138,36 @@ def test_report_digests_repeat(tmp_path):
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split("  ")[0]) for line in lines if "/" in line)
     assert lines[2].startswith("exit 0  ") and lines[5].startswith("exit 0  ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_report_digests_check(tmp_path):
+    # --check names the output whose saved digest differs, and each output
+    # only one side has, and exits 1; against its own lines it exits 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = [sys.executable, str(ROOT / "scripts" / "report_digests.py"), "--only", "simulate"]
+
+    def run(*args):
+        return subprocess.run(
+            script + list(args), cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        )
+
+    saved = run().stdout.splitlines()
+    good = tmp_path / "good.txt"
+    good.write_text("\n".join(saved + ["0" * 64 + "  coupling/coupling_report.json"]) + "\n")
+    proc = run("--check", str(good))
+    assert proc.returncode == 0, proc.stdout + proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == saved + ["all 3 outputs match"]
+    digest, name = saved[0].split("  ")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(["f" * 64 + "  " + name, "0" * 64 + "  simulate/noise.bin"] + saved[2:]) + "\n")
+    proc = run("--check", str(bad))
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[len(saved):] == [
+        "missing  simulate/noise.bin",
+        f"differs  {name}: {'f' * 64} -> {digest}",
+        f"new      {saved[1].split('  ')[1]}",
+        "3 of 4 outputs differ",
+    ]
 
 
 def test_subcommand_tables_agree():
