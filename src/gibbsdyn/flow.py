@@ -132,28 +132,43 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def kick_states(cfg: FlowConfig, states: np.ndarray, h: float, plan: CubePlan | None = None) -> None:
+class KickPlan(CubePlan):
+    """A cube plan bound to the displacement of one flat states array (...,
+    2, n_modes), with the views the kick writes: the velocity's cube, the
+    cube of the plan's output (the shear) and the shear's factor h * gamma.
+    """
+
+    def __init__(self, cfg: FlowConfig, states: np.ndarray, h: float):
+        shape = states.shape[:-2] + cfg.grid.mode_shape
+        # splitting the last axis into the mode shape always gives views
+        super().__init__(cfg.grid, cfg.N, states[..., 0, :].reshape(shape))
+        self.cfg, self.states, self.h = cfg, states, h
+        self.velocity = states[..., 1, :].reshape(shape)[self.cube]
+        self.shear = self.out[self.cube]
+        # complex, as numpy would convert the float on every product
+        self.scale = np.complex128(h * cfg.gamma)
+
+
+def kick_states(cfg: FlowConfig, states: np.ndarray, h: float, plan: KickPlan | None = None) -> None:
     """In-place velocity shear p -= h * gamma * P_N (P_N u)^3 on flat states.
 
     Only the velocity modes inside the cube change; the shear is zero outside.
-    A plan built for the states' batch shape supplies the cube's tables and
-    scratch; without one, a throwaway plan is built, or nothing happens when
-    gamma == 0 or N < 0.
+    A plan bound to these states (the same array object), config and h
+    supplies the cube's tables, scratch and views, and one bound to anything
+    else raises ValueError; without one, a throwaway plan is bound to the
+    states, or nothing happens when gamma == 0 or N < 0.
     """
-    grid = cfg.grid
     if plan is None:
         if cfg.gamma == 0.0 or cfg.N < 0:
             return
-        plan = CubePlan(grid, cfg.N, states.shape[:-2])
-    elif states.shape[:-2] != plan.batch:
-        raise ValueError(f"plan for batch {plan.batch} used on states of shape {states.shape}")
-    # splitting the last axis into the mode shape always gives views
-    u = states[..., 0, :].reshape(plan.shape)
-    p_cube = states[..., 1, :].reshape(plan.shape)[plan.cube]
+        plan = KickPlan(cfg, states, h)
+    elif states is not plan.states or h != plan.h or (cfg is not plan.cfg and cfg != plan.cfg):
+        raise ValueError("a kick plan serves only the states array, config and step it was built for")
     # the plan's output is scratch, so the shear is scaled in place
-    shear = dealiased_cube_coeffs(grid, u, cfg.N, plan)[plan.cube]
-    shear *= h * cfg.gamma
-    p_cube -= shear
+    dealiased_cube_coeffs(cfg.grid, plan.coeffs, cfg.N, plan)
+    shear, velocity = plan.shear, plan.velocity
+    shear *= plan.scale
+    velocity -= shear
 
 
 class Stepper:
@@ -162,15 +177,16 @@ class Stepper:
     `evolve` and `evolve_ensemble` both advance states with `run`, so one
     sequence of operations defines the scheme: propagate and add the first
     half-step increment, kick, propagate and add the second.  The half-step
-    propagator is held in the layout `propagate_states` reads fastest.  Each
-    `run` builds its own cube plan and state buffers, so one stepper can
-    serve several threads.
+    propagator is held in the layout `propagate_states` reads fastest, with
+    its two columns as views.  Each `run` builds its own kick plan and
+    buffers, so one stepper can serve several threads.
     """
 
     def __init__(self, cfg: FlowConfig):
         self.cfg = cfg
         self.table = build_table(cfg.grid, cfg.h / 2)
         self.S = propagator_columns(self.table.S)
+        self.cols = tuple(self.S.transpose(2, 1, 0))
 
     def run(self, layers: np.ndarray, blocks, every: int):
         """Advance layers (L, rows, 2, n_modes) through an iterable of half-step
@@ -183,33 +199,53 @@ class Stepper:
         with break.  The caller's layers are never written: the half-steps
         alternate between two buffers of this run, and the yielded layers are
         one of them, valid until the next step.
+
+        Every view, buffer and scalar a step uses is built here, once per
+        run, so a step makes only its ufunc and FFT calls.
         """
-        cfg, grid = self.cfg, self.cfg.grid
+        cfg, grid, S, cols, h = self.cfg, self.cfg.grid, self.S, self.cols, self.cfg.h
         samples = set(sample_steps(cfg.n_steps, every))
-        # the one place a run decides whether it kicks
-        plan = CubePlan(grid, cfg.N, layers.shape[1:2]) if cfg.gamma != 0.0 and cfg.N >= 0 else None
-        into_first, into_second = np.empty((2,) + layers.shape, dtype=complex)
+        into_first, into_second, prod = np.empty((3,) + layers.shape, dtype=complex)
+        # first half-steps go from into_second into into_first and second
+        # ones back (blocks hold whole steps), so a half-step never writes the
+        # states it reads, and the run starts from a copy of the caller's
+        # layers in into_second
+        into_second[...] = layers
+        halves = tuple(
+            (source, target, (source[..., 0:1, :], source[..., 1:2, :]))
+            for source, target in ((into_second, into_first), (into_first, into_second))
+        )
+        # the kick follows a first half-step, so it always acts on layer 0
+        # of into_first; the one place a run decides whether it kicks
+        kicked = into_first[0]
+        plan = KickPlan(cfg, kicked, h) if cfg.gamma != 0.0 and cfg.N >= 0 else None
         # half-steps per scatter: whole blocks for narrow batches, one at a
-        # time once a half-step's increments alone exceed the budget
+        # time once a half-step's increments alone exceed the budget.  The
+        # scatter is steps-major, so a half-step's increments are one
+        # contiguous block, and it is as wide as the widest block needs
         span = max(1, BATCH_ITEMS // (2 * layers.shape[1] * grid.n_modes))
+        scatter = incs = ()
         k = 0
         for eta in blocks:
+            if len(scatter) < min(span, eta.shape[1]):
+                scatter = np.empty((min(span, eta.shape[1]),) + layers.shape[1:], dtype=complex)
+                incs = list(scatter)
             for lo in range(0, eta.shape[1], span):
-                inc = increments_to_states(grid, eta[:, lo : lo + span])
-                for j in range(inc.shape[1]):
-                    # first half-steps go into one buffer and second ones
-                    # into the other (blocks hold whole steps), so a
-                    # half-step never writes the states it reads
-                    first = (lo + j) % 2 == 0
-                    layers = propagate_states(self.S, layers, into_first if first else into_second)
-                    layers += inc[:, j]
-                    if first:  # the kick sits between the half-steps
+                part = eta[:, lo : lo + span]
+                n = part.shape[1]
+                increments_to_states(grid, part, scatter[:n].swapaxes(0, 1))
+                for j in range(n):
+                    second = (lo + j) % 2
+                    source, target, parts = halves[second]
+                    propagate_states(S, source, target, cols, prod, parts)
+                    target += incs[j]
+                    if not second:
                         if plan is not None:
-                            kick_states(cfg, layers[0], cfg.h, plan)
+                            kick_states(cfg, kicked, h, plan)
                         continue
                     k += 1
                     if k in samples:
-                        yield k, layers
+                        yield k, target
 
 
 def sample_steps(n_steps: int, every: int) -> list[int]:

@@ -67,7 +67,14 @@ def step_covariance(grid: GridSpec, h: float) -> np.ndarray:
     return 0.5 * (Q + np.swapaxes(Q, 1, 2))
 
 
-def propagate_states(S: np.ndarray, states: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def propagate_states(
+    S: np.ndarray,
+    states: np.ndarray,
+    out: np.ndarray | None = None,
+    cols: tuple | None = None,
+    prod: np.ndarray | None = None,
+    parts: tuple | None = None,
+) -> np.ndarray:
     """Apply per-mode 2x2 matrices S (n_modes, 2, 2) to flat states (..., 2, n_modes).
 
     out[..., :, m] = S[m, :, 0] * states[..., 0, m] + S[m, :, 1] * states[..., 1, m],
@@ -76,10 +83,18 @@ def propagate_states(S: np.ndarray, states: np.ndarray, out: np.ndarray | None =
     `propagator_columns`) is applied with no casting or strided reads.  The
     result goes into `out` when one is given; it must not share memory with
     states.
+
+    A caller that propagates the same arrays many times may pass what each
+    call would otherwise build: `cols`, the pair S.transpose(2, 1, 0)[0],
+    [1]; `prod`, an array of the result's shape that takes the second
+    product; and `parts`, the views states[..., 0:1, :] and
+    states[..., 1:2, :].
     """
-    cols = S.transpose(2, 1, 0)  # cols[j][i, m] = S[m, i, j]
-    out = np.multiply(cols[0], states[..., 0:1, :], out=out)
-    out += cols[1] * states[..., 1:2, :]
+    if cols is None:
+        cols = S.transpose(2, 1, 0)  # cols[j][i, m] = S[m, i, j]
+    u, p = (states[..., 0:1, :], states[..., 1:2, :]) if parts is None else parts
+    out = np.multiply(cols[0], u, out=out)
+    out += np.multiply(cols[1], p, out=prod)
     return out
 
 

@@ -21,6 +21,7 @@ every weighted norm on states refers to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -276,19 +277,26 @@ def _half_cube(grid: GridSpec, N: int) -> tuple:
     return pos, neg, blocks
 
 
-class CubePlan:
-    """Tables and scratch of `dealiased_cube_coeffs` for one grid, cube size
-    N >= 0 and batch shape.
+# 1/8 as a complex scalar: a product with it has the bits of one with the float
+# 0.125, which numpy would convert to this scalar on every call
+EIGHTH = np.complex128(0.125)
 
-    It holds the `_half_cube` and `cube_index` tables and every array the
-    cube passes through, with their views precomputed: the half-spectrum
-    embedding, the grid values, the cubed values, their spectrum and the
-    mode-shaped output.  A call with the plan writes into these buffers and
-    returns `out`, which the next call overwrites; so a plan serves one
+
+class CubePlan:
+    """`dealiased_cube_coeffs` for one grid and cube size N >= 0, bound to one
+    input array: the coefficients `coeffs` (..., *mode_shape) that every call
+    with the plan reads.
+
+    It holds the `_half_cube` and `cube_index` tables, the views of `coeffs`
+    that the embedding reads, and every array the cube passes through with
+    its views precomputed: the half-spectrum embedding, the grid values, the
+    cubed values, their spectrum and the mode-shaped output.  A call with the
+    plan reads the bound array's current values, writes into these buffers
+    and returns `out`, which the next call overwrites; so a plan serves one
     thread.
     """
 
-    def __init__(self, grid: GridSpec, N: int, batch: tuple):
+    def __init__(self, grid: GridSpec, N: int, coeffs: np.ndarray):
         if grid.M < 4 * N + 2:
             raise AliasError(
                 f"grid M={grid.M} too small for alias-free cubing at N={N} (need M >= {4 * N + 2})"
@@ -296,12 +304,13 @@ class CubePlan:
         if N < 0:
             raise ValueError(f"a cube plan needs N >= 0, got {N}")
         M, d = grid.M, grid.d
-        batch = tuple(batch)
-        self.N, self.batch = N, batch
-        self.shape = batch + grid.mode_shape
+        batch = coeffs.shape[: coeffs.ndim - d]
+        if coeffs.shape[len(batch) :] != grid.mode_shape:
+            raise ValueError(f"coefficients of shape {coeffs.shape} on a grid of modes {grid.mode_shape}")
+        self.grid, self.N, self.coeffs = grid, N, coeffs
         pos, neg, blocks = _half_cube(grid, N)
-        self.pos, self.neg = pos, neg
         self.cube = cube_index(grid, N)
+        self.lead_axes = tuple(range(-2, -d - 1, -1))
         half = batch + (M,) * (d - 1) + (M // 2 + 1,)
         # only the last axis' positions 0..N are ever written, so the other
         # columns of the embedding stay zero
@@ -312,9 +321,10 @@ class CubePlan:
         self.rspec = np.empty(half, dtype=complex)
         self.spec = self.rspec[..., : N + 1]
         # entries outside the cube are never written and stay zero
-        self.out = np.zeros(self.shape, dtype=complex)
+        self.out = np.zeros(coeffs.shape, dtype=complex)
+        above, below = coeffs[pos], coeffs[neg]
         hi, lo = self.out[pos], self.out[neg]
-        self.embed = tuple((self.emb[g], c) for g, c in blocks)
+        self.embed = tuple((self.emb[g], above[c], below[c]) for g, c in blocks)
         self.gather = tuple((self.spec[g], hi[c]) for g, c in blocks)
         self.hi_rest, self.lo_rest = hi[..., 1:], lo[..., 1:]
         self.hi_zero, self.lo_zero = hi[..., 0], lo[..., 0]
@@ -331,48 +341,49 @@ def dealiased_cube_coeffs(
     over the last, then rfft and fft back.  The mirror half of the result is
     filled by conjugation, so it is exactly Hermitian.
 
-    With a plan built for (grid, N, the input's batch shape) the result is
-    the plan's `out`, overwritten by the next call; without one, a
-    throwaway plan is built, so both run the same transforms.
+    With a plan bound to `coeffs` (the same array object) at this grid and N,
+    the result is the plan's `out`, overwritten by the next call; a plan
+    handed any other array raises ValueError.  Without one, a throwaway plan
+    is bound to the input, so both run the same transforms.
     """
     if plan is None:
         if N < -1:
             raise ValueError(f"cube size must be >= -1, got {N}")
         if N == -1:
             return np.zeros_like(coeffs)
-        plan = CubePlan(grid, N, coeffs.shape[: coeffs.ndim - grid.d])
-    elif plan.N != N or plan.shape != coeffs.shape:
-        raise ValueError(f"plan for N={plan.N}, shape {plan.shape} used at N={N}, shape {coeffs.shape}")
-    M, d = grid.M, grid.d
-    cols, vals, cube, spec = plan.cols, plan.vals, plan.cubed, plan.spec
-    if d > 1:
+        plan = CubePlan(grid, N, coeffs)
+    elif coeffs is not plan.coeffs or N != plan.N or (grid is not plan.grid and grid != plan.grid):
+        raise ValueError(f"plan for N={plan.N} on {plan.grid} used at N={N} on {grid}, or on another array")
+    cols, vals, cube, spec, rspec = plan.cols, plan.vals, plan.cubed, plan.spec, plan.rspec
+    lead = plan.lead_axes
+    if lead:
         # the last call's leading-axis ifft spread values over every row of
         # these columns, and the cube's modes fill only some of them
         cols.fill(0.0)
-    above, below = coeffs[plan.pos], coeffs[plan.neg]
-    for part, c in plan.embed:
+    for part, above, below in plan.embed:
         # twice the Hermitian part, c[n] + conj(c[-n]), so the field comes out
         # doubled and its cube 8 times too big; the exact 1/8 comes off at the end
-        np.conj(below[c], out=part)
-        part += above[c]
+        np.conj(below, out=part)
+        part += above
     # norm="forward" leaves the inverse transforms unscaled, so they give grid
     # values, and puts the 1/M of each axis on the forward transforms
-    for axis in range(-2, -d - 1, -1):
+    for axis in lead:
         np.fft.ifft(cols, axis=axis, norm="forward", out=cols)
-    np.fft.irfft(plan.emb, M, axis=-1, norm="forward", out=vals)
+    np.fft.irfft(plan.emb, grid.M, axis=-1, norm="forward", out=vals)
     np.multiply(vals, vals, out=cube)
     cube *= vals
-    np.fft.rfft(cube, axis=-1, norm="forward", out=plan.rspec)
-    for axis in range(-2, -d - 1, -1):
+    np.fft.rfft(cube, axis=-1, norm="forward", out=rspec)
+    for axis in lead:
         np.fft.fft(spec, axis=axis, norm="forward", out=spec)
     for part, dest in plan.gather:
-        np.multiply(part, 0.125, out=dest)
+        np.multiply(part, EIGHTH, out=dest)
     np.conj(plan.hi_rest, out=plan.lo_rest)
-    if d > 1:
+    if lead:
         # the plane of last coordinate 0 is its own mirror image; in one
         # dimension it is the zero mode, which rfft returns real
-        plan.hi_zero += np.conj(plan.lo_zero)
-        plan.hi_zero *= 0.5
+        hi_zero = plan.hi_zero
+        hi_zero += np.conj(plan.lo_zero)
+        hi_zero *= 0.5
     return plan.out
 
 
@@ -451,11 +462,26 @@ def quartic_integral_coeffs(grid: GridSpec, coeffs: np.ndarray, band: int | None
     """Physical-space integral of u^4 over [0, 2*pi)^d for batched coefficients.
 
     Evaluated on a grid of at least 4*band+2 points per axis so the quartic's
-    mean is quadrature-exact for the occupied band.
+    mean is quadrature-exact for the occupied band.  The band is taken over
+    the whole batch, and the rows are transformed as many at a time as keep
+    two transform grids within `BATCH_ITEMS` complex entries, as in
+    `holder_batch_rows`; each row's value does not depend on the batch.
     """
     if band is None:
         band = occupied_band(grid, coeffs)
     m = next_fast_len(max(4 * band + 2, 2 * grid.K + 1))
+    batch = coeffs.shape[: coeffs.ndim - grid.d]
+    rows = max(1, BATCH_ITEMS // (2 * m**grid.d))
+    if math.prod(batch) <= rows:
+        return _quartic_on_grid(grid, coeffs, m)
+    flat = coeffs.reshape((-1,) + grid.mode_shape)
+    out = np.empty(flat.shape[0])
+    for lo in range(0, flat.shape[0], rows):
+        out[lo : lo + rows] = _quartic_on_grid(grid, flat[lo : lo + rows], m)
+    return out.reshape(batch)
+
+
+def _quartic_on_grid(grid: GridSpec, coeffs: np.ndarray, m: int) -> np.ndarray:
     vals = coeffs_to_grid(grid, coeffs, m)
     axes = tuple(range(vals.ndim - grid.d, vals.ndim))
     vals *= vals

@@ -219,6 +219,40 @@ def test_holder_norm_chunks_leading_axes(d, monkeypatch):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
+def test_quartic_rows_match_at_every_batch_size(d, monkeypatch):
+    # the band is taken over the whole batch, so one row of high modes sets
+    # every row's grid; batches of 1, 2, 3 and all rows under a patched
+    # budget, in two leading axes, give each row the value of the one-grid call
+    grid = GRIDS[d]
+    gen = np.random.default_rng(40 + d)
+    count = 7
+    coeffs = np.stack([random_state(grid, gen)[0] for _ in range(count)])
+    coeffs[:-1, spectral.cube_mask(grid, 1).reshape(-1) == 0] = 0.0
+    fields = coeffs.reshape((count, 1) + grid.mode_shape)
+    m = next_fast_len(4 * grid.K + 2)
+    whole = spectral._quartic_on_grid(grid, fields, m)
+    assert whole.shape == (count, 1)
+    transformed = []
+    coeffs_to_grid = spectral.coeffs_to_grid
+
+    def record(grid, coeffs, m=None):
+        transformed.append(coeffs.shape[0])
+        return coeffs_to_grid(grid, coeffs, m)
+
+    monkeypatch.setattr(spectral, "coeffs_to_grid", record)
+    for rows in (1, 2, 3, count):
+        transformed.clear()
+        monkeypatch.setattr(spectral, "BATCH_ITEMS", rows * 2 * m**grid.d)
+        got = spectral.quartic_integral_coeffs(grid, fields)
+        assert got.shape == (count, 1) and np.array_equal(got, whole)
+        assert max(transformed) == rows and sum(transformed) == count
+        for i in range(count):
+            one = spectral.quartic_integral_coeffs(grid, fields[i, 0], grid.K)
+            assert type(one) is np.float64 and one == whole[i, 0]
+    assert spectral.quartic_integral_coeffs(grid, fields[:0], grid.K).shape == (0, 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_sobolev_norms_match_per_state_sum(d):
     # the per-state form sums each component over the mode cube's shape
     grid = GRIDS[d]

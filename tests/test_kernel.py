@@ -5,9 +5,9 @@ propagation, zero-filled fancy-index scatter, masked np.ix_ cube over the
 full complex spectrum).  Propagation, scatter and transforms perform the
 same floating-point operations in the same order as those forms, and the
 draws differ only by a commuted addition and a dropped exact-zero term, so
-they are compared with np.array_equal.  `Stepper.run`, which reuses one cube
-plan and two state buffers over a run, is compared bit for bit with the
-planless per-step sequence.  The dealiased cube goes through the half
+they are compared with np.array_equal.  `Stepper.run`, which binds one kick
+plan, its buffers and their views once per run, is compared bit for bit with
+the planless per-step sequence.  The dealiased cube goes through the half
 spectrum with real transforms, and the quartic integral takes its fourth
 power as two squarings, which round differently: those comparisons, and the
 kicks and steps built on them, allow max|got - want| <= 1e-13 * max|want|.
@@ -18,7 +18,7 @@ import pytest
 
 import oracles
 from gibbsdyn import flow
-from gibbsdyn.flow import FlowConfig, Stepper, kick_states
+from gibbsdyn.flow import FlowConfig, KickPlan, Stepper, kick_states
 from gibbsdyn.gibbs import sample_mu_states
 from gibbsdyn.linear_dynamics import (
     build_table,
@@ -295,34 +295,50 @@ def test_half_spectrum_cube_guarantees(d):
 @pytest.mark.parametrize("span", [None, 3], ids=["whole-blocks", "span-3"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_stepper_run_equals_planless_steps(monkeypatch, d, span):
-    # the run's cube plan and ping-pong buffers change no bit: every state it
-    # yields equals propagate + increment, then a planless kick,
-    # over several blocks, with a second (unkicked) layer; an odd scatter span
-    # splits the blocks across the buffers' alternation
+    # the run's kick plan, views and buffers change no bit: every state it
+    # yields equals propagate + increment, then a planless kick, over several
+    # blocks, with a second (unkicked) layer, at 3 rows and at evolve's
+    # recorded shape (1 row, 2 layers); an odd steps-major scatter span splits
+    # the blocks across the buffers' alternation
     grid = GRIDS[d]
-    rows = 3
-    if span is not None:
-        monkeypatch.setattr(flow, "BATCH_ITEMS", span * 2 * rows * grid.n_modes)
     cfg = FlowConfig(grid, n_max(grid), 0.5, 0.05, 0.35)
     stepper = Stepper(cfg)
-    layers = 0.3 * np.stack([random_states(grid, (rows,), 20 + i) for i in range(2)])
-    given = layers.copy()
-    eta = np.stack([random_increments(grid, (14,), 30 + r) for r in range(rows)])
-    seen = {}
-    for k, got in stepper.run(layers, [eta[:, :4], eta[:, 4:6], eta[:, 6:]], 1):
-        seen[k] = got.copy()
-    assert np.array_equal(layers, given)  # the caller's layers are never written
+    for rows in (3, 1):
+        if span is not None:
+            monkeypatch.setattr(flow, "BATCH_ITEMS", span * 2 * rows * grid.n_modes)
+        layers = 0.3 * np.stack([random_states(grid, (rows,), 20 + i) for i in range(2)])
+        given = layers.copy()
+        eta = np.stack([random_increments(grid, (14,), 30 + r) for r in range(rows)])
+        seen = {}
+        for k, got in stepper.run(layers, [eta[:, :4], eta[:, 4:6], eta[:, 6:]], 1):
+            seen[k] = got.copy()
+        assert np.array_equal(layers, given)  # the caller's layers are never written
 
-    want = given
-    for i in range(14):
-        want = propagate_states(stepper.S, want)
-        want += increments_to_states(grid, eta[:, i])
-        if i % 2 == 0:
-            kick_states(cfg, want[0], cfg.h)
-        else:
-            assert np.array_equal(seen[(i + 1) // 2], want)
-    assert sorted(seen) == list(range(1, 8))
-    assert np.array_equal(got, want)
+        want = given
+        for i in range(14):
+            want = propagate_states(stepper.S, want)
+            want += increments_to_states(grid, eta[:, i])
+            if i % 2 == 0:
+                kick_states(cfg, want[0], cfg.h)
+            else:
+                assert np.array_equal(seen[(i + 1) // 2], want)
+        assert sorted(seen) == list(range(1, 8))
+        assert np.array_equal(got, want)
+
+
+def test_run_without_kick_builds_no_plan(monkeypatch):
+    # gamma == 0 or N == -1 decides once per run that no step kicks; a kicked
+    # run binds one plan
+    built = []
+    monkeypatch.setattr(flow, "KickPlan", lambda *args: built.append(args) or KickPlan(*args))
+    grid = GRIDS[1]
+    eta = random_increments(grid, (4,), 70)[None]
+    layers = 0.3 * random_states(grid, (1, 1), 71)
+    for N, gamma in ((n_max(grid), 0.0), (-1, 0.0), (-1, 0.5)):
+        assert len(list(Stepper(FlowConfig(grid, N, gamma, 0.05, 0.1)).run(layers, [eta], 1))) == 2
+    assert built == []
+    list(Stepper(FlowConfig(grid, n_max(grid), 0.5, 0.05, 0.1)).run(layers, [eta], 1))
+    assert len(built) == 1
 
 
 def test_sample_steps_are_every_kth_and_the_last():
@@ -355,30 +371,55 @@ def test_stepper_yields_its_sample_steps_and_stops_on_break():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_cube_plan_reuse_matches_fresh_calls(d):
-    # one plan over several different inputs: no value of an earlier call
-    # leaks into a later one (at d > 1 the leading-axis ifft fills rows of the
-    # embedding that the next call's cube does not write)
+    # one plan over several inputs written into the array it is bound to:
+    # every call equals a fresh planless call, so no value of an earlier call
+    # leaks into a later one (at d > 1 the leading-axis ifft fills rows of
+    # the embedding that the next call's cube does not write)
     grid = GRIDS[d]
     batch = (4,)
+    bound = np.empty(batch + grid.mode_shape, dtype=complex)
     for N in sorted({0, n_max(grid)}):
-        plan = CubePlan(grid, N, batch)
+        plan = CubePlan(grid, N, bound)
         for seed, scale in ((40, 1.0), (41, 0.01), (42, 30.0)):
             coeffs = scale * random_states(grid, batch, seed)[..., 0, :].reshape(batch + grid.mode_shape)
-            got = dealiased_cube_coeffs(grid, coeffs, N, plan)
+            bound[...] = coeffs
+            got = dealiased_cube_coeffs(grid, bound, N, plan)
             assert got is plan.out
             assert np.array_equal(got, dealiased_cube_coeffs(grid, coeffs, N))
-    with pytest.raises(ValueError, match="plan"):
-        dealiased_cube_coeffs(grid, coeffs[:1], N, plan)
-    with pytest.raises(ValueError, match="plan"):
-        dealiased_cube_coeffs(grid, coeffs, N - 1, plan)
+        # a plan handed any other array raises: fewer rows, a copy, another
+        # view of the bound memory, or another N or grid
+        for other in (coeffs[:1], bound[:1], coeffs, bound.copy(), bound[:], bound.view()):
+            with pytest.raises(ValueError, match="plan"):
+                dealiased_cube_coeffs(grid, other, N, plan)
+        with pytest.raises(ValueError, match="plan"):
+            dealiased_cube_coeffs(grid, bound, N - 1, plan)
+        # M = 2K + 1 and 2K + 2 carry the same modes on different grids
+        other_M = 2 * grid.K + 1 if grid.M % 2 == 0 else 2 * grid.K + 2
+        with pytest.raises(ValueError, match="plan"):
+            dealiased_cube_coeffs(GridSpec(d, other_M, grid.s), bound, N, plan)
 
 
 def test_kick_rejects_plan_of_another_batch_shape():
-    # a plan for 4 rows does not serve a (2, 2) batch, though the sizes agree
-    grid = GRIDS[2]
-    cfg = FlowConfig(grid, n_max(grid), 0.5, 0.05, 0.35)
-    plan = CubePlan(grid, cfg.N, (4,))
-    states = random_states(grid, (2, 2), 50)
-    with pytest.raises(ValueError, match="plan"):
-        kick_states(cfg, states, cfg.h, plan)
-    kick_states(cfg, states.reshape((4, 2, grid.n_modes)), cfg.h, plan)
+    # a kick plan serves only the states array it is bound to: not states of
+    # another batch shape though the sizes agree, nor a copy or another view
+    # of the bound array, nor another step or config.  Several inputs written
+    # into the bound array kick as fresh planless calls do
+    for d, grid in GRIDS.items():
+        cfg = FlowConfig(grid, n_max(grid), 0.5, 0.05, 0.35)
+        bound = np.empty((4, 2, grid.n_modes), dtype=complex)
+        plan = KickPlan(cfg, bound, cfg.h)
+        for seed, scale in ((50, 1.0), (51, 0.01), (52, 30.0)):
+            states = scale * random_states(grid, (4,), seed)
+            bound[...] = states
+            kick_states(cfg, bound, cfg.h, plan)
+            kick_states(cfg, states, cfg.h)
+            assert np.array_equal(bound, states)
+        for other in (bound.reshape((2, 2, 2, grid.n_modes)), states, bound.copy(), bound[:], bound[:1]):
+            with pytest.raises(ValueError, match="plan"):
+                kick_states(cfg, other, cfg.h, plan)
+        with pytest.raises(ValueError, match="plan"):
+            kick_states(cfg, bound, 2 * cfg.h, plan)
+        with pytest.raises(ValueError, match="plan"):
+            kick_states(FlowConfig(grid, cfg.N, 0.25, 0.05, 0.35), bound, cfg.h, plan)
+        # the bound array was left as the last kick wrote it
+        assert np.array_equal(bound, states)

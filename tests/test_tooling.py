@@ -17,6 +17,7 @@ import pytest
 
 from gibbsdyn import cli, harness
 from gibbsdyn.flow import Trajectory, evolve
+from gibbsdyn.linear_dynamics import propagate_states
 from gibbsdyn.observables import resolve
 from gibbsdyn.spectral import GridSpec
 
@@ -90,6 +91,14 @@ def test_traced_smoke_calls_every_stepping_layer(tmp_path, name):
     assert cube["fft_points"] > 0
     # every kick goes through one dealiased cube
     assert cube["calls"] == summary["flow.kick_states"]["calls"]
+    if name == "ergodicity":
+        # its 3 rows step as one chunk: one kick and one cube per step, one
+        # propagation per half-step, so no fast path skips a traced layer
+        flow = cli.load_config(name, None, cli.SMOKE[name])["flow"]
+        n_steps = round(flow["T"] / flow["h"])
+        assert summary["flow.kick_states"]["calls"] == n_steps
+        assert cube["calls"] == n_steps
+        assert summary["linear_dynamics.propagate_states"]["calls"] == 2 * n_steps
     if name == "invariance":
         for layer in ("gibbs.sample_mu_states", "gibbs.interaction_states", "flow.evolve_ensemble"):
             assert summary[layer]["calls"] > 0, layer
@@ -103,6 +112,13 @@ def test_evolve_work_counter_inputs():
     params = list(inspect.signature(evolve).parameters)
     assert params[1] == "cfg"
     assert "blowup_time" in {f.name for f in Trajectory.__dataclass_fields__.values()}
+
+
+def test_propagate_work_counter_inputs():
+    # the tracer's counter for linear_dynamics.propagate_states reads S and
+    # states as the first two positional arguments
+    params = list(inspect.signature(propagate_states).parameters)
+    assert params[:2] == ["S", "states"]
 
 
 def test_quickstart_runs(tmp_path):
