@@ -28,6 +28,7 @@ import numpy as np
 
 from .linear_dynamics import (
     NoisePath,
+    PropagatePlan,
     build_table,
     draw_increments,
     increments_to_states,
@@ -177,16 +178,15 @@ class Stepper:
     `evolve` and `evolve_ensemble` both advance states with `run`, so one
     sequence of operations defines the scheme: propagate and add the first
     half-step increment, kick, propagate and add the second.  The half-step
-    propagator is held in the layout `propagate_states` reads fastest, with
-    its two columns as views.  Each `run` builds its own kick plan and
-    buffers, so one stepper can serve several threads.
+    propagator is held in the layout `propagate_states` reads fastest.  Each
+    `run` builds its own kick and propagation plans and buffers, so one
+    stepper can serve several threads.
     """
 
     def __init__(self, cfg: FlowConfig):
         self.cfg = cfg
         self.table = build_table(cfg.grid, cfg.h / 2)
         self.S = propagator_columns(self.table.S)
-        self.cols = tuple(self.S.transpose(2, 1, 0))
 
     def run(self, layers: np.ndarray, blocks, every: int):
         """Advance layers (L, rows, 2, n_modes) through an iterable of half-step
@@ -203,7 +203,7 @@ class Stepper:
         Every view, buffer and scalar a step uses is built here, once per
         run, so a step makes only its ufunc and FFT calls.
         """
-        cfg, grid, S, cols, h = self.cfg, self.cfg.grid, self.S, self.cols, self.cfg.h
+        cfg, grid, S, h = self.cfg, self.cfg.grid, self.S, self.cfg.h
         samples = set(sample_steps(cfg.n_steps, every))
         into_first, into_second, prod = np.empty((3,) + layers.shape, dtype=complex)
         # first half-steps go from into_second into into_first and second
@@ -212,7 +212,7 @@ class Stepper:
         # layers in into_second
         into_second[...] = layers
         halves = tuple(
-            (source, target, (source[..., 0:1, :], source[..., 1:2, :]))
+            (source, target, PropagatePlan(S, source, prod))
             for source, target in ((into_second, into_first), (into_first, into_second))
         )
         # the kick follows a first half-step, so it always acts on layer 0
@@ -236,8 +236,8 @@ class Stepper:
                 increments_to_states(grid, part, scatter[:n].swapaxes(0, 1))
                 for j in range(n):
                     second = (lo + j) % 2
-                    source, target, parts = halves[second]
-                    propagate_states(S, source, target, cols, prod, parts)
+                    source, target, propagation = halves[second]
+                    propagate_states(S, source, target, propagation)
                     target += incs[j]
                     if not second:
                         if plan is not None:

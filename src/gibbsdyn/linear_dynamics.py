@@ -67,13 +67,22 @@ def step_covariance(grid: GridSpec, h: float) -> np.ndarray:
     return 0.5 * (Q + np.swapaxes(Q, 1, 2))
 
 
+class PropagatePlan:
+    """What `propagate_states(S, states, ...)` builds on every call, built once
+    for one propagator S and one states array: the two columns of S, the two
+    row views of states and `prod`, a buffer of the result's shape that takes
+    the second product.  It serves only the arrays it was built for, so a
+    caller that propagates the same arrays many times builds their views once.
+    """
+
+    def __init__(self, S: np.ndarray, states: np.ndarray, prod: np.ndarray):
+        self.S, self.states, self.prod = S, states, prod
+        self.cols = tuple(S.transpose(2, 1, 0))
+        self.u, self.p = states[..., 0:1, :], states[..., 1:2, :]
+
+
 def propagate_states(
-    S: np.ndarray,
-    states: np.ndarray,
-    out: np.ndarray | None = None,
-    cols: tuple | None = None,
-    prod: np.ndarray | None = None,
-    parts: tuple | None = None,
+    S: np.ndarray, states: np.ndarray, out: np.ndarray | None = None, plan: PropagatePlan | None = None
 ) -> np.ndarray:
     """Apply per-mode 2x2 matrices S (n_modes, 2, 2) to flat states (..., 2, n_modes).
 
@@ -82,17 +91,17 @@ def propagate_states(
     holds each column as one contiguous (2, n_modes) block (see
     `propagator_columns`) is applied with no casting or strided reads.  The
     result goes into `out` when one is given; it must not share memory with
-    states.
-
-    A caller that propagates the same arrays many times may pass what each
-    call would otherwise build: `cols`, the pair S.transpose(2, 1, 0)[0],
-    [1]; `prod`, an array of the result's shape that takes the second
-    product; and `parts`, the views states[..., 0:1, :] and
-    states[..., 1:2, :].
+    states.  A plan built for this S and these states (the same array
+    objects) supplies the views and the product buffer, and one built for
+    any other arrays raises ValueError.
     """
-    if cols is None:
-        cols = S.transpose(2, 1, 0)  # cols[j][i, m] = S[m, i, j]
-    u, p = (states[..., 0:1, :], states[..., 1:2, :]) if parts is None else parts
+    if plan is None:
+        cols, u, p, prod = S.transpose(2, 1, 0), states[..., 0:1, :], states[..., 1:2, :], None
+    elif S is not plan.S or states is not plan.states:
+        raise ValueError("a propagation plan serves only the S and states it was built for")
+    else:
+        cols, u, p, prod = plan.cols, plan.u, plan.p, plan.prod
+    # cols[j][i, m] = S[m, i, j]
     out = np.multiply(cols[0], u, out=out)
     out += np.multiply(cols[1], p, out=prod)
     return out

@@ -21,7 +21,6 @@ every weighted norm on states refers to it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -472,13 +471,12 @@ def quartic_integral_coeffs(grid: GridSpec, coeffs: np.ndarray, band: int | None
     m = next_fast_len(max(4 * band + 2, 2 * grid.K + 1))
     batch = coeffs.shape[: coeffs.ndim - grid.d]
     rows = max(1, BATCH_ITEMS // (2 * m**grid.d))
-    if math.prod(batch) <= rows:
-        return _quartic_on_grid(grid, coeffs, m)
     flat = coeffs.reshape((-1,) + grid.mode_shape)
     out = np.empty(flat.shape[0])
     for lo in range(0, flat.shape[0], rows):
         out[lo : lo + rows] = _quartic_on_grid(grid, flat[lo : lo + rows], m)
-    return out.reshape(batch)
+    # [()] turns the 0-d result of an unbatched input into a scalar
+    return out.reshape(batch)[()]
 
 
 def _quartic_on_grid(grid: GridSpec, coeffs: np.ndarray, m: int) -> np.ndarray:

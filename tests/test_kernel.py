@@ -6,7 +6,7 @@ full complex spectrum).  Propagation, scatter and transforms perform the
 same floating-point operations in the same order as those forms, and the
 draws differ only by a commuted addition and a dropped exact-zero term, so
 they are compared with np.array_equal.  `Stepper.run`, which binds one kick
-plan, its buffers and their views once per run, is compared bit for bit with
+plan, two propagation plans, its buffers and their views once per run, is compared bit for bit with
 the planless per-step sequence.  The dealiased cube goes through the half
 spectrum with real transforms, and the quartic integral takes its fourth
 power as two squarings, which round differently: those comparisons, and the
@@ -21,6 +21,7 @@ from gibbsdyn import flow
 from gibbsdyn.flow import FlowConfig, KickPlan, Stepper, kick_states
 from gibbsdyn.gibbs import sample_mu_states
 from gibbsdyn.linear_dynamics import (
+    PropagatePlan,
     build_table,
     draw_increments,
     increments_to_states,
@@ -84,6 +85,32 @@ def test_propagation_matches_einsum(d, batch):
     want = oracles.propagate_states(S, states)
     assert np.array_equal(propagate_states(S, states), want)
     assert np.array_equal(propagate_states(propagator_columns(S), states), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_propagation_plan_matches_planless_calls(d):
+    # a plan serves only the S and states array objects it was built for:
+    # several inputs written into its states match planless calls bit for
+    # bit, and any other array raises, so what the tracer counts from S and
+    # states is what the plan computes
+    grid = GRIDS[d]
+    S = propagator_columns(build_table(grid, 0.05).S)
+    states = np.empty((3, 2, grid.n_modes), dtype=complex)
+    plan = PropagatePlan(S, states, np.empty_like(states))
+    out = np.empty_like(states)
+    for seed in (1, 2, 3):
+        states[...] = random_states(grid, (3,), seed)
+        assert propagate_states(S, states, out, plan) is out
+        assert np.array_equal(out, propagate_states(S, states))
+    for other_S, other_states in (
+        (S.copy(), states),
+        (build_table(grid, 0.05).S, states),
+        (S, states.copy()),
+        (S, states[:]),
+        (S, states[:2]),
+    ):
+        with pytest.raises(ValueError):
+            propagate_states(other_S, other_states, None, plan)
 
 
 @pytest.mark.parametrize("batch", BATCHES, ids=str)
